@@ -8,12 +8,13 @@ equations ``labels``, ``grafts``, ``callee``, ``scope``, and
 the caller at each upward step is unique, and a violation raises
 AmbiguousCaller.
 
-The divergence machinery (memo table, in-progress cycle markers, fuel)
-mirrors the general evaluator.
+The divergence machinery (memo tables, in-flight cycle markers, fuel) is
+the general evaluator's ``equation`` kernel.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .lam import (
@@ -26,7 +27,13 @@ from .lam import (
     free_vars,
     is_anf,
 )
-from .semantics import ABOVE_ROOT, DEFAULT_FUEL, DivergenceError, ScopeUnderflowError
+from .semantics import (
+    ABOVE_ROOT,
+    DEFAULT_FUEL,
+    DivergenceError,
+    ScopeUnderflowError,
+    equation,
+)
 from .syntax import Path, Reference, ROOT
 
 
@@ -165,114 +172,82 @@ class DirectContext:
     def __init__(self, program: DirectProgram, fuel: int = DEFAULT_FUEL):
         self.program = program
         self.fuel = fuel
-        self._memo: dict = {}
-        self._in_progress: set = set()
+        self.memo: defaultdict = defaultdict(dict)
 
-    def _run(self, key, compute):
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        if key in self._in_progress:
-            raise DivergenceError("Cycle", key)
-        if self.fuel <= 0:
-            raise DivergenceError("FuelExhausted", key)
-        self.fuel -= 1
-        self._in_progress.add(key)
-        try:
-            value = compute()
-        finally:
-            self._in_progress.discard(key)
-        memo[key] = value
-        return value
-
+    @equation("labels")
     def labels(self, p: Path) -> frozenset[str]:
-        def compute():
-            out = set()
-            for p_step in self.callee_star(p):
-                for p_graft in self.grafts(p_step):
-                    out |= self.program.children(p_graft)
-            return frozenset(out)
+        out = set()
+        for p_step in self.callee_star(p):
+            for p_graft in self.grafts(p_step):
+                out |= self.program.children(p_graft)
+        return frozenset(out)
 
-        return self._run(("labels", p), compute)
-
+    @equation("grafts")
     def grafts(self, p: Path) -> frozenset[Path]:
-        def compute():
-            if p == ROOT:
-                return frozenset({ROOT})
-            out = {p}
-            last = p[-1]
-            # A graft position of p is any graft of any transitive callee
-            # of the parent that locally defines last(p), mirroring how an
-            # override of a path arises from any override of any base of
-            # the parent.
-            for p_step in self.callee_star(p[:-1]):
-                for p_graft in self.grafts(p_step):
-                    if last in self.program.children(p_graft):
-                        out.add(p_graft + (last,))
-            return frozenset(out)
+        if p == ROOT:
+            return frozenset({ROOT})
+        out = {p}
+        last = p[-1]
+        # A graft position of p is any graft of any transitive callee
+        # of the parent that locally defines last(p), mirroring how an
+        # override of a path arises from any override of any base of
+        # the parent.
+        for p_step in self.callee_star(p[:-1]):
+            for p_graft in self.grafts(p_step):
+                if last in self.program.children(p_graft):
+                    out.add(p_graft + (last,))
+        return frozenset(out)
 
-        return self._run(("grafts", p), compute)
-
+    @equation("callee*")
     def callee_star(self, p: Path) -> frozenset[Path]:
-        def compute():
-            seen = {p}
-            work = [p]
-            while work:
-                q = work.pop()
-                for c in self.callee(q):
-                    if c not in seen:
-                        seen.add(c)
-                        work.append(c)
-            return frozenset(seen)
+        seen = {p}
+        work = [p]
+        while work:
+            q = work.pop()
+            for c in self.callee(q):
+                if c not in seen:
+                    seen.add(c)
+                    work.append(c)
+        return frozenset(seen)
 
-        return self._run(("callee*", p), compute)
-
+    @equation("callee")
     def callee(self, p: Path) -> frozenset[Path]:
-        def compute():
-            out = set()
-            for p_graft in self.grafts(p):
-                for ref in self.program.refs(p_graft):
-                    if p == ROOT:
-                        raise ScopeUnderflowError(
-                            "a reference at the root has no enclosing scope"
-                        )
-                    target = self.scope(p[:-1], p_graft[:-1], ref.n)
-                    out.add(target + ref.downs)
-            return frozenset(out)
+        out = set()
+        for p_graft in self.grafts(p):
+            for ref in self.program.refs(p_graft):
+                if p == ROOT:
+                    raise ScopeUnderflowError(
+                        "a reference at the root has no enclosing scope"
+                    )
+                target = self.scope(p[:-1], p_graft[:-1], ref.n)
+                out.add(target + ref.downs)
+        return frozenset(out)
 
-        return self._run(("callee", p), compute)
-
+    @equation("scope")
     def scope(self, p_site: Path, p_def: Path, n: int) -> Path:
-        def compute():
-            if n == 0:
-                return p_site
-            if p_def == ROOT:
-                raise ScopeUnderflowError(
-                    f"scope step above the root (n={n} remaining)"
-                )
-            callers = {
-                context
-                for context, p_graft in self.callee_ctx(p_site)
-                if p_graft == p_def
-            }
-            if len(callers) != 1:
-                raise AmbiguousCaller(p_site, p_def, callers)
-            (caller,) = callers
-            assert caller is not ABOVE_ROOT
-            return self.scope(caller, p_def[:-1], n - 1)
+        if n == 0:
+            return p_site
+        if p_def == ROOT:
+            raise ScopeUnderflowError(f"scope step above the root (n={n} remaining)")
+        callers = {
+            context
+            for context, p_graft in self.callee_ctx(p_site)
+            if p_graft == p_def
+        }
+        if len(callers) != 1:
+            raise AmbiguousCaller(p_site, p_def, callers)
+        (caller,) = callers
+        assert caller is not ABOVE_ROOT
+        return self.scope(caller, p_def[:-1], n - 1)
 
-        return self._run(("scope", p_site, p_def, n), compute)
-
+    @equation("callee_ctx")
     def callee_ctx(self, p: Path) -> frozenset:
-        def compute():
-            pairs = set()
-            for p_step in self.callee_star(p):
-                context = ABOVE_ROOT if p_step == ROOT else p_step[:-1]
-                for p_graft in self.grafts(p_step):
-                    pairs.add((context, p_graft))
-            return frozenset(pairs)
-
-        return self._run(("callee_ctx", p), compute)
+        pairs = set()
+        for p_step in self.callee_star(p):
+            context = ABOVE_ROOT if p_step == ROOT else p_step[:-1]
+            for p_graft in self.grafts(p_step):
+                pairs.add((context, p_graft))
+        return frozenset(pairs)
 
     def observe_structure(self, p: Path, depth: int):
         """Label-keyed observation structure comparable with the general

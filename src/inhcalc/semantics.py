@@ -10,7 +10,9 @@ infinite acyclic unfoldings with ``Divergence(FuelExhausted)``.
 
 from __future__ import annotations
 
+import functools
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .syntax import CoreProgram, Path, Reference, ROOT, path_text
@@ -63,8 +65,68 @@ class SinglePathViolation:
     n: int
 
 
+def equation(tag: str):
+    """Make a method one memoized equation of a demand-driven evaluator.
+
+    The instance keeps ``fuel`` and ``memo``, a ``defaultdict(dict)`` that
+    holds one table per equation, keyed by the call's arguments (a single
+    argument bare).  A miss spends one unit of fuel.  While the body runs,
+    its entry holds ``None``, so re-entering the same query raises
+    ``Divergence(Cycle)``; results are never ``None``.  A body that raises
+    leaves no entry, so a re-query reaches the same verdict.  Divergence
+    witnesses are ``(tag, *args)``.
+    """
+
+    def decorate(body):
+        if body.__code__.co_argcount == 2:
+
+            def run(self, arg):
+                memo = self.memo[tag]
+                value = memo.get(arg)
+                if value is not None:
+                    return value
+                if arg in memo:
+                    raise DivergenceError("Cycle", (tag, arg))
+                if self.fuel <= 0:
+                    raise DivergenceError("FuelExhausted", (tag, arg))
+                self.fuel -= 1
+                memo[arg] = None
+                try:
+                    value = body(self, arg)
+                except BaseException:
+                    del memo[arg]
+                    raise
+                memo[arg] = value
+                return value
+
+        else:
+
+            def run(self, *args):
+                memo = self.memo[tag]
+                value = memo.get(args)
+                if value is not None:
+                    return value
+                if args in memo:
+                    raise DivergenceError("Cycle", (tag, *args))
+                if self.fuel <= 0:
+                    raise DivergenceError("FuelExhausted", (tag, *args))
+                self.fuel -= 1
+                memo[args] = None
+                try:
+                    value = body(self, *args)
+                except BaseException:
+                    del memo[args]
+                    raise
+                memo[args] = value
+                return value
+
+        return functools.wraps(body)(run)
+
+    return decorate
+
+
 class EvalContext:
-    """Memoization tables, in-progress markers, and fuel for one program.
+    """Memoization tables and fuel for one program.
 
     A context is single-threaded; create one context per evaluation.
     Results are immutable frozensets, safe to share once computed.
@@ -80,132 +142,91 @@ class EvalContext:
         self.fuel = fuel
         self.assert_single_path = assert_single_path
         self.single_path_violations: list[SinglePathViolation] = []
-        self._memo: dict = {}
-        self._in_progress: set = set()
-
-    # -- memoization scaffolding -------------------------------------------
-
-    def _run(self, key, compute):
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        if key in self._in_progress:
-            raise DivergenceError("Cycle", key)
-        if self.fuel <= 0:
-            raise DivergenceError("FuelExhausted", key)
-        self.fuel -= 1
-        self._in_progress.add(key)
-        try:
-            value = compute()
-        finally:
-            self._in_progress.discard(key)
-        memo[key] = value
-        return value
+        self.memo: defaultdict = defaultdict(dict)
 
     # -- the six equations --------------------------------------------------
 
+    @equation("properties")
     def properties(self, p: Path) -> frozenset[str]:
-        def compute():
-            out = set()
-            for _, p_override in self.supers(p):
-                out |= self.program.defines(p_override)
-            return frozenset(out)
+        out = set()
+        for _, p_override in self.supers(p):
+            out |= self.program.defines(p_override)
+        return frozenset(out)
 
-        return self._run(("properties", p), compute)
-
+    @equation("supers")
     def supers(self, p: Path) -> frozenset:
-        def compute():
-            pairs = set()
-            for p_base in self.bases_star(p):
-                context = ABOVE_ROOT if p_base == ROOT else p_base[:-1]
-                for p_override in self.overrides(p_base):
-                    pairs.add((context, p_override))
-            return frozenset(pairs)
+        pairs = set()
+        for p_base in self.bases_star(p):
+            context = ABOVE_ROOT if p_base == ROOT else p_base[:-1]
+            for p_override in self.overrides(p_base):
+                pairs.add((context, p_override))
+        return frozenset(pairs)
 
-        return self._run(("supers", p), compute)
-
+    @equation("bases*")
     def bases_star(self, p: Path) -> frozenset[Path]:
         """Reflexive-transitive closure of ``bases`` via a membership-checked
         worklist, so mutually referencing siblings have a finite closure."""
+        seen = {p}
+        work = [p]
+        while work:
+            q = work.pop()
+            for b in self.bases(q):
+                if b not in seen:
+                    seen.add(b)
+                    work.append(b)
+        return frozenset(seen)
 
-        def compute():
-            seen = {p}
-            work = [p]
-            while work:
-                q = work.pop()
-                for b in self.bases(q):
-                    if b not in seen:
-                        seen.add(b)
-                        work.append(b)
-            return frozenset(seen)
-
-        return self._run(("bases*", p), compute)
-
+    @equation("overrides")
     def overrides(self, p: Path) -> frozenset[Path]:
-        def compute():
-            if p == ROOT:
-                return frozenset({ROOT})
-            out = {p}
-            last = p[-1]
-            for _, p_branch in self.supers(p[:-1]):
-                if last in self.program.defines(p_branch):
-                    out.add(p_branch + (last,))
-            return frozenset(out)
+        if p == ROOT:
+            return frozenset({ROOT})
+        out = {p}
+        last = p[-1]
+        for _, p_branch in self.supers(p[:-1]):
+            if last in self.program.defines(p_branch):
+                out.add(p_branch + (last,))
+        return frozenset(out)
 
-        return self._run(("overrides", p), compute)
-
+    @equation("bases")
     def bases(self, p: Path) -> frozenset[Path]:
-        def compute():
-            out = set()
-            for p_override in self.overrides(p):
-                for ref in self.program.inherits(p_override):
-                    if p == ROOT:
-                        raise ScopeUnderflowError(
-                            "a reference at the root has no enclosing scope"
-                        )
-                    out |= self.resolve(p[:-1], p_override, ref.n, ref.downs)
-            return frozenset(out)
+        out = set()
+        for p_override in self.overrides(p):
+            for ref in self.program.inherits(p_override):
+                if p == ROOT:
+                    raise ScopeUnderflowError(
+                        "a reference at the root has no enclosing scope"
+                    )
+                out |= self.resolve(p[:-1], p_override, ref.n, ref.downs)
+        return frozenset(out)
 
-        return self._run(("bases", p), compute)
-
+    @equation("resolve")
     def resolve(
         self, p_site: Path, p_def: Path, n: int, downs: tuple[str, ...]
     ) -> frozenset[Path]:
-        def compute():
-            if not p_def:
-                raise ScopeUnderflowError(
-                    "resolve requires a nonempty definition-site path"
-                )
-            return frozenset(
-                current + downs
-                for current in self.this(frozenset({p_site}), p_def[:-1], n)
+        if not p_def:
+            raise ScopeUnderflowError(
+                "resolve requires a nonempty definition-site path"
             )
+        return frozenset(
+            current + downs
+            for current in self.this(frozenset({p_site}), p_def[:-1], n)
+        )
 
-        return self._run(("resolve", p_site, p_def, n, downs), compute)
-
+    @equation("this")
     def this(self, S: frozenset[Path], p_def: Path, n: int) -> frozenset[Path]:
-        S = frozenset(S)
-
-        def compute():
-            if n == 0:
-                return S
-            if self.assert_single_path and len(S) != 1:
-                self.single_path_violations.append(
-                    SinglePathViolation(S, p_def, n)
-                )
-            if p_def == ROOT:
-                raise ScopeUnderflowError(
-                    f"this step above the root (n={n} remaining)"
-                )
-            frontier = set()
-            for current in S:
-                for p_site, p_override in self.supers(current):
-                    if p_override == p_def:
-                        assert p_site is not ABOVE_ROOT, "AboveRoot matched a this step"
-                        frontier.add(p_site)
-            return self.this(frozenset(frontier), p_def[:-1], n - 1)
-
-        return self._run(("this", S, p_def, n), compute)
+        if n == 0:
+            return S
+        if self.assert_single_path and len(S) != 1:
+            self.single_path_violations.append(SinglePathViolation(S, p_def, n))
+        if p_def == ROOT:
+            raise ScopeUnderflowError(f"this step above the root (n={n} remaining)")
+        frontier = set()
+        for current in S:
+            for p_site, p_override in self.supers(current):
+                if p_override == p_def:
+                    assert p_site is not ABOVE_ROOT, "AboveRoot matched a this step"
+                    frontier.add(p_site)
+        return self.this(frozenset(frontier), p_def[:-1], n - 1)
 
     # -- observation helpers -------------------------------------------------
 

@@ -17,6 +17,7 @@ of downward projections.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 Label = str
@@ -130,96 +131,94 @@ def record_of(*elements) -> SurfaceRecord:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# One match per token, whitespace run or comment; only tokens fill the
+# group.  Names and numbers are ASCII; whitespace is any ``\s``.  The last
+# alternative takes everything from an unexpected character to the end of
+# the input, so only the last token can be one.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<thisat>this@)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<nat>[0-9]+)
-    | (?P<lb>\{)
-    | (?P<rb>\})
-    | (?P<eq>=)
-    | (?P<comma>,)
-    | (?P<dot>\.)
-    | (?P<caret>\^)
-    """,
-    re.VERBOSE,
+    r"\s+|#[^\n]*|(this@|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[{}=,.^]|[\s\S]+)"
 )
+_KIND = {
+    "": "eof",
+    "this@": "thisat",
+    "{": "lb",
+    "}": "rb",
+    "=": "eq",
+    ",": "comma",
+    ".": "dot",
+    "^": "caret",
+    **dict.fromkeys("0123456789", "nat"),
+    **dict.fromkeys(string.ascii_letters + "_", "ident"),
+}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _kind(token: str) -> str:
+    """A token's kind: ``this@`` and the end of input by their text, any
+    other token by its first character."""
+    return _KIND.get(token) or _KIND[token[0]]
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line, pos - line_start + 1))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+def _tokenize(source: str) -> list[str]:
+    """Token texts, ending with ``""`` for the end of input."""
+    tokens = list(filter(None, _TOKEN_RE.findall(source)))
+    if tokens and tokens[-1][0] not in _KIND:
+        pos = len(source) - len(tokens[-1])
+        raise ParseError(
+            f"unexpected character {source[pos]!r}", *_line_column(source, pos)
+        )
+    tokens.append("")
     return tokens
 
 
+def _line_column(source: str, pos: int) -> tuple[int, int]:
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
+
+
+def _token_offset(source: str, index: int) -> int:
+    """Offset of token ``index`` in ``source``; the end for the eof token."""
+    for m in _TOKEN_RE.finditer(source):
+        if m.group(1):
+            if index == 0:
+                return m.start()
+            index -= 1
+    return len(source)
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.i = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def peek(self, offset: int = 1) -> _Token:
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
-
     def error(self, message: str):
-        raise ParseError(message, self.cur.line, self.cur.column)
+        pos = _token_offset(self.source, self.i)
+        raise ParseError(message, *_line_column(self.source, pos))
 
-    def expect(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            self.error(f"expected {kind}, found {self.cur.kind or 'eof'}")
-        tok = self.cur
+    def expect(self, kind: str) -> str:
+        token = self.tokens[self.i]
+        if _kind(token) != kind:
+            self.error(f"expected {kind}, found {_kind(token)}")
         self.i += 1
-        return tok
+        return token
 
     def parse_program(self) -> SurfaceRecord:
         rec = self.parse_record()
-        if self.cur.kind != "eof":
+        if self.tokens[self.i]:
             self.error("trailing input after top-level record")
         return rec
 
     def parse_record(self) -> SurfaceRecord:
         self.expect("lb")
+        tokens = self.tokens
         rec = SurfaceRecord()
-        if self.cur.kind == "rb":
+        if tokens[self.i] == "}":
             self.i += 1
             return rec
         while True:
             self.parse_element(rec)
-            if self.cur.kind == "comma":
+            if tokens[self.i] == ",":
                 self.i += 1
-                if self.cur.kind == "rb":  # trailing comma
+                if tokens[self.i] == "}":  # trailing comma
                     self.i += 1
                     return rec
                 continue
@@ -227,47 +226,45 @@ class _Parser:
             return rec
 
     def parse_element(self, rec: SurfaceRecord) -> None:
-        if self.cur.kind == "ident" and self.peek().kind == "eq":
-            label = self.expect("ident").text
-            self.expect("eq")
-            if self.cur.kind == "lb":
+        tokens, i = self.tokens, self.i
+        if _kind(tokens[i]) == "ident" and tokens[i + 1] == "=":
+            self.i = i + 2
+            if tokens[i + 2] == "{":
                 body = self.parse_record()
             else:
                 # "x = r" sugars to "x = { r }"
                 body = SurfaceRecord()
                 body.add_ref(self.parse_reference())
-            rec.add_def(label, body)
+            rec.add_def(tokens[i], body)
         else:
             rec.add_ref(self.parse_reference())
 
     def parse_reference(self) -> SurfaceRef:
-        if self.cur.kind == "thisat":
+        token = self.tokens[self.i]
+        if token == "this@":
             self.i += 1
-            up = self.expect("ident").text
-            downs = self.parse_downs()
-            return NamedRef(up, downs)
-        if self.cur.kind == "caret":
+            up = self.expect("ident")
+            return NamedRef(up, self.parse_downs())
+        if token == "^":
             self.i += 1
-            n = int(self.expect("nat").text)
-            downs = self.parse_downs()
-            return IndexedRef(n, downs)
-        if self.cur.kind == "ident":
-            head = self.expect("ident").text
-            downs = (head,) + self.parse_downs()
-            return LexicalRef(downs)
+            n = int(self.expect("nat"))
+            return IndexedRef(n, self.parse_downs())
+        if _kind(token) == "ident":
+            self.i += 1
+            return LexicalRef((token,) + self.parse_downs())
         self.error("expected an element (definition or reference)")
 
     def parse_downs(self) -> tuple[str, ...]:
         downs = []
-        while self.cur.kind == "dot":
+        while self.tokens[self.i] == ".":
             self.i += 1
-            downs.append(self.expect("ident").text)
+            downs.append(self.expect("ident"))
         return tuple(downs)
 
 
 def parse(source: str) -> SurfaceRecord:
     """Parse surface text into a SurfaceRecord (the surface program)."""
-    return _Parser(_tokenize(source)).parse_program()
+    return _Parser(source).parse_program()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import properties_struct
+from inhcalc.fixtures import fixture
 from inhcalc.semantics import (
     ABOVE_ROOT,
+    DEFAULT_FUEL,
     DivergenceError,
     EvalContext,
     NaiveEvaluator,
@@ -59,16 +61,46 @@ def test_cycle_detection():
     with pytest.raises(DivergenceError) as exc:
         ctx.properties(("a",))
     assert exc.value.kind == "Cycle"
+    assert exc.value.witness == ("supers", ("a",))
     # the verdict is stable on re-query
     with pytest.raises(DivergenceError) as exc2:
         ctx.properties(("a",))
     assert exc2.value.kind == "Cycle"
+    assert exc2.value.witness == ("supers", ("a",))
 
 
 def test_sibling_mutual_inheritance_terminates():
     ctx = EvalContext(parse_program("{a = {b, x = {}}, b = {a, y = {}}}"))
     assert ctx.properties(("a",)) == {"x", "y"}
     assert ctx.bases_star(("a",)) == {("a",), ("b",)}
+
+
+# Fuel spent by observe((), 4): exactly one unit per memo miss.
+_OBSERVE_FUEL = {
+    "p1": 32,
+    "p2": 53,
+    "multipath": 105,
+    "cyclic_a": 14,
+    "self_ref": 33,
+    "nat": 5040,
+    "asymmetry": 612,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OBSERVE_FUEL))
+def test_observe_fuel_is_one_per_memo_miss(name):
+    ctx = EvalContext(fixture(name).program())
+    ctx.observe((), 4, record_divergence=True)
+    assert DEFAULT_FUEL - ctx.fuel == _OBSERVE_FUEL[name]
+
+
+def test_deep_nesting():
+    # {A = {a = ...{}...}, B = {A}} with d nested records: B.a^(d-1)
+    # inherits exactly the label a.  Each nesting level costs a fixed
+    # number of interpreter frames, so this depth bounds that number.
+    d = 75
+    prog = parse_program("{A = " + "{a = " * d + "{}" + "}" * d + ", B = {A}}")
+    assert EvalContext(prog).properties(("B",) + ("a",) * (d - 1)) == {"a"}
 
 
 def test_fuel_exhaustion():

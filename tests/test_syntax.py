@@ -75,6 +75,24 @@ def test_unexpected_character():
         parse("{a = $}")
 
 
+@pytest.mark.parametrize(
+    "src, line, column, message",
+    [
+        ("{\n  a = {},  # a comment\n  b = @\n}", 3, 7, "unexpected character '@'"),
+        ("{a = {\u00e9}}", 1, 7, "unexpected character '\u00e9'"),
+        ("{a = @}", 1, 6, "unexpected character '@'"),
+        ("{a = {}", 1, 8, "expected rb, found eof"),
+        ("{a = ^x}", 1, 7, "expected nat, found ident"),
+        ("{a = ^}", 1, 7, "expected nat, found rb"),
+    ],
+)
+def test_parse_error_line_and_column(src, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"{line}:{column}: {message}"
+
+
 def test_named_not_found():
     with pytest.raises(ResolutionError) as exc:
         parse_program("{a = {r = this@Missing}}")
