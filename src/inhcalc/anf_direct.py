@@ -1,12 +1,13 @@
 """Direct set-theoretic semantics of ANF terms.
 
-Instead of translating to a record program and running the general
-inheritance equations, this module extracts a node table (``children`` /
-``refs``) straight from an ANF term and evaluates the specialized
-equations ``labels``, ``grafts``, ``callee``, ``scope``, and
-``callee_ctx``.  ``scope`` is single-valued: on images of the translation
-the caller at each upward step is unique, and a violation raises
-AmbiguousCaller.
+The direct engine reads the node table that ``lam.translate`` writes for
+the general engine, viewed as ``children`` (a node's ``defines``) and
+``refs`` (its ``inherits``).  The table is shared; the equations are not.
+``labels``, ``grafts``, ``callee``, ``scope`` and ``callee_ctx`` are
+specialized to images of the translation and written independently of
+the six general equations.  ``scope`` is single-valued: on images of the
+translation the caller at each upward step is unique, and a violation
+raises AmbiguousCaller.
 
 The divergence machinery (memo tables, in-flight cycle markers, fuel) is
 the general evaluator's ``equation`` kernel.
@@ -15,26 +16,22 @@ the general evaluator's ``equation`` kernel.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .lam import (
-    Abs,
-    App,
     ConvergenceReport,
-    Let,
+    FreeVariableError,
+    SyntheticNameCollision,
     Term,
-    Var,
-    free_vars,
-    is_anf,
+    _scan_result_chain,
+    translate,
 )
 from .semantics import (
     ABOVE_ROOT,
     DEFAULT_FUEL,
-    DivergenceError,
     ScopeUnderflowError,
     equation,
 )
-from .syntax import Path, Reference, ROOT
+from .syntax import ROOT, CoreProgram, Path
 
 
 class AmbiguousCaller(Exception):
@@ -48,118 +45,24 @@ class AmbiguousCaller(Exception):
         self.candidates = candidates
 
 
-@dataclass(frozen=True)
-class DirectNode:
-    children: frozenset[str] = frozenset()
-    refs: frozenset[Reference] = frozenset()
-
-
-_EMPTY = DirectNode()
-
-
 class DirectProgram:
-    """Per-path ``children`` / ``refs`` table extracted from an ANF term."""
+    """A view of a translated node table: ``children`` reads ``defines``
+    and ``refs`` reads ``inherits``."""
 
-    def __init__(self, nodes: dict[Path, DirectNode]):
-        self.nodes = dict(nodes)
-
-    def children(self, p: Path) -> frozenset[str]:
-        return self.nodes.get(p, _EMPTY).children
-
-    def refs(self, p: Path) -> frozenset[Reference]:
-        return self.nodes.get(p, _EMPTY).refs
-
-    def paths(self) -> list[Path]:
-        return sorted(self.nodes)
-
-
-# ---------------------------------------------------------------------------
-# Extraction
-# ---------------------------------------------------------------------------
-#
-# Every node in the table is one scope level, so the level of a node is
-# the length of its path, and a reference stored at node p with index n
-# targets the node whose path length is len(p) - 1 - n.
-
-_LAM = "lam"
-_LET = "let"
-_OPAQUE = "opaque"
-
-
-def _lookup(env: list, name: str):
-    for j in range(len(env) - 1, -1, -1):
-        kind, bound = env[j]
-        if bound == name and kind in (_LAM, _LET):
-            return j, kind
-    raise ValueError(f"unbound variable {name!r} during extraction")
-
-
-def _var_ref(v: Var, level: int, env: list) -> Reference:
-    j, kind = _lookup(env, v.name)
-    if kind == _LAM:
-        return Reference(level - 1 - j, ("argument",))
-    # let-bound: project x.result from the defining let scope
-    return Reference(level - 1 - j, (v.name, "result"))
-
-
-class _Extractor:
-    def __init__(self):
-        self.nodes: dict[Path, DirectNode] = {}
-
-    def put(self, p: Path, children=(), refs=()):
-        assert p not in self.nodes
-        self.nodes[p] = DirectNode(frozenset(children), frozenset(refs))
-
-    def comp(self, m: Term, p: Path, env: list) -> None:
-        if isinstance(m, Abs):
-            self.put(p, {"argument", "result"})
-            self.put(p + ("argument",))
-            self.comp(m.body, p + ("result",), env + [(_LAM, m.param)])
-            return
-        if isinstance(m, Let):
-            self.put(p, {m.name, "result"})
-            inner = env + [(_LET, m.name)]
-            self.application(m.rhs, p + (m.name,), inner)
-            self.comp(m.body, p + ("result",), inner)
-            return
-        if isinstance(m, App):
-            self.put(p, {"tailCall", "result"})
-            inner = env + [(_OPAQUE, None)]
-            self.application(m, p + ("tailCall",), inner)
-            self.put(p + ("result",), refs={Reference(0, ("tailCall", "result"))})
-            return
-        if isinstance(m, Var):
-            # bare value in tail position: the node itself carries the ref
-            self.put(p, refs={_var_ref(m, len(p), env)})
-            return
-        raise TypeError(m)
-
-    def application(self, app: App, p: Path, env: list) -> None:
-        """An application node at path p (env covers the levels above p)."""
-        v1, v2 = app.fun, app.arg
-        if isinstance(v1, Abs):
-            # the lambda-literal is inlined: this node is the lambda record
-            self.put(p, {"argument", "result"})
-            self.comp(v1.body, p + ("result",), env + [(_LAM, v1.param)])
-        else:
-            self.put(p, {"argument"}, {_var_ref(v1, len(p), env)})
-        arg_env = env + [(_OPAQUE, None)]
-        arg_path = p + ("argument",)
-        if isinstance(v2, Abs):
-            self.comp(v2, arg_path, arg_env)
-        else:
-            self.put(arg_path, refs={_var_ref(v2, len(arg_path), env)})
+    def __init__(self, core: CoreProgram):
+        self.nodes = core.nodes
+        self.children = core.defines
+        self.refs = core.inherits
+        self.paths = core.paths
 
 
 def extract(t: Term) -> DirectProgram:
-    if not is_anf(t):
-        raise ValueError("extract requires an ANF term")
-    free = free_vars(t)
-    if free:
-        raise ValueError(f"extract requires a closed term: {sorted(free)}")
-    ex = _Extractor()
-    ex.comp(t, ROOT, [])
-    return DirectProgram(ex.nodes)
+    """The direct view of ``translate(t)``; ValueError on any term that
+    ``translate`` rejects (not ANF, open, or a synthetic let-name)."""
+    try:
+        return DirectProgram(translate(t))
+    except (FreeVariableError, SyntheticNameCollision) as exc:
+        raise ValueError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +171,7 @@ def converges_direct(
     max_depth: int = 64,
     ctx: DirectContext | None = None,
 ) -> ConvergenceReport:
+    """The result-chain scan over the direct engine's ``labels``."""
     if ctx is None:
         ctx = DirectContext(dp, fuel=fuel)
-    for n in range(max_depth + 1):
-        p = ("result",) * n
-        try:
-            labels = ctx.labels(p)
-        except DivergenceError as exc:
-            return ConvergenceReport(False, None, exc.kind)
-        if "argument" in labels and "result" in labels:
-            return ConvergenceReport(True, n, None)
-    return ConvergenceReport(False, None, "DepthExceeded")
+    return _scan_result_chain(ctx.labels, max_depth)

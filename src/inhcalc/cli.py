@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 divergence / failed verdict, 2 input error.
+Exit codes: 0 success, 1 divergence / failed verdict, 2 input error,
+3 resource limit (input nested too deeply for the recursive evaluator).
 ``INHCALC_FUEL`` and ``INHCALC_MAX_DEPTH`` override the flag defaults.
 """
 
@@ -38,6 +39,7 @@ from .syntax import (
 EXIT_OK = 0
 EXIT_DIVERGED = 1
 EXIT_INPUT = 2
+EXIT_RESOURCE = 3
 
 
 def _fail_input(message: str):
@@ -83,7 +85,22 @@ format_option = click.option(
 )
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a ``RecursionError`` from any command as a resource limit."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RecursionError:
+            click.echo(
+                "error: resource limit: input nested too deeply "
+                "(Python recursion limit reached)",
+                err=True,
+            )
+            sys.exit(EXIT_RESOURCE)
+
+
+@click.group(cls=_Main)
 def main():
     """Record-inheritance calculus: queries, lambda bridge, fixtures."""
 

@@ -8,7 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .anf_direct import converges_direct, extract
+from .anf_direct import (
+    DirectProgram,
+    converges_direct,
+    extract,  # noqa: F401  (bench/layers.py traces corpus.extract)
+)
 from .lam import (
     ConvergenceReport,
     HeadResult,
@@ -28,14 +32,6 @@ from .lam import (
 from .semantics import EvalContext
 
 MAX_CORPUS_SIZE = 7
-
-
-def term_size(t: OTerm) -> int:
-    if t[0] == "var":
-        return 1
-    if t[0] == "abs":
-        return 1 + term_size(t[1])
-    return 1 + term_size(t[1]) + term_size(t[2])
 
 
 @lru_cache(maxsize=None)
@@ -121,10 +117,10 @@ def judge(
     assert_single_path: bool = False,
 ) -> Verdict:
     oracle = head_reduce(named_to_oracle(anf_term), fuel)
-    prog = translate(anf_term)
+    prog = translate(anf_term)  # one table, read by both engines
     ctx = EvalContext(prog, fuel=fuel, assert_single_path=assert_single_path)
     conv = converges(prog, max_depth=max_depth, ctx=ctx)
-    direct = converges_direct(extract(anf_term), fuel=fuel, max_depth=max_depth)
+    direct = converges_direct(DirectProgram(prog), fuel=fuel, max_depth=max_depth)
     return Verdict(
         name, anf_term, oracle, conv, direct, len(ctx.single_path_violations)
     )

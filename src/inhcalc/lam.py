@@ -21,12 +21,14 @@ from .semantics import (
     EvalContext,
 )
 from .syntax import (
+    ROOT,
     CoreProgram,
     IndexedRef,
-    LexicalRef,
+    Node,
     Path,
+    Reference,
     SurfaceRecord,
-    resolve_references,
+    resolve_references,  # noqa: F401  (bench/layers.py traces lam.resolve_references)
 )
 
 SYNTHETIC_LABELS = frozenset({"argument", "result", "tailCall"})
@@ -354,101 +356,125 @@ def substitute(t: Term, x: str, v: Term) -> Term:
 # Translation to inheritance records
 # ---------------------------------------------------------------------------
 #
-# Each record literal is one scope level.  The frame list mirrors the
-# enclosing record levels from the translation root: frame i is the record
-# at nesting level i.  A reference element of a record at level L with
-# stored index n targets level L - 1 - n, so a lambda-bound variable whose
-# binder record sits at level j gets index L - 1 - j; this realizes the
-# "lambda index plus intervening let/tail scopes" adjustment.
+# One walk over the ANF term writes the core node table.  Every record
+# literal is one scope level, so the level of a node is the length of its
+# path, and a reference stored at a node of level L with index n targets
+# the enclosing node of level L - 1 - n.  A variable bound at level j is
+# read from a node of level L as (L - 1 - j, ("argument",)) when a lambda
+# binds it, and as (L - 1 - j, (name, "result")) when a let binds it.
 
-_LAM = "lam"
-_LET = "let"
-_OPAQUE = "opaque"
-
-
-def _lookup(env: list, name: str):
-    for j in range(len(env) - 1, -1, -1):
-        kind, bound = env[j]
-        if bound == name and kind in (_LAM, _LET):
-            return j, kind
-    raise FreeVariableError(f"unbound variable {name!r} in translation")
+_NOT_ANF = "translate requires an ANF term"
+_ARGUMENT = ("argument",)
+_EMPTY_NODE = Node()
+_LAMBDA_NODE = Node(frozenset({"argument", "result"}))
+_TAIL_NODE = Node(frozenset({"tailCall", "result"}))
+_FORWARD_NODE = Node(inherits=frozenset({Reference(0, ("tailCall", "result"))}))
+_APPLICATION_DEFINES = frozenset(_ARGUMENT)
 
 
-def _value_ref_at(v: Term, level: int, env: list):
-    """Reference for variable v placed in a record at the given level."""
-    j, kind = _lookup(env, v.name)
-    if kind == _LAM:
-        return IndexedRef(level - 1 - j, ("argument",))
-    return LexicalRef((v.name, "result"))
+class _Translation:
+    """The node table of one closed ANF term, with the ANF-shape,
+    closed-term and let-name checks made on the way."""
 
+    def __init__(self):
+        self.nodes: dict[Path, Node] = {}
+        # variable in scope -> (binder level, projection that reads it)
+        self.scope: dict[str, tuple[int, tuple[str, ...]]] = {}
 
-def _application_record(v1: Term, v2: Term, env: list) -> SurfaceRecord:
-    """The encapsulated application { T(V1), argument = T(V2) }.
+    def ref(self, v: Var, level: int) -> Reference:
+        """The reference to variable v from a node at the given level."""
+        try:
+            j, downs = self.scope[v.name]
+        except KeyError:
+            raise FreeVariableError(
+                f"translate requires a closed term: {v.name!r} is free"
+            ) from None
+        return Reference(level - 1 - j, downs)
 
-    env covers the levels above this record, so the record itself sits at
-    level len(env).  An abstraction literal in function position is inlined
-    (set union), merging its scope level with the application record's.
-    """
-    level = len(env)
-    if isinstance(v1, Abs):
-        rec = _translate_comp(v1, env)  # the lambda record *is* this record
-    else:
-        rec = SurfaceRecord()
-        rec.add_ref(_value_ref_at(v1, level, env))
-    # The argument subtree counts the application record as one scope
-    # level, but an inlined lambda-literal's binder is not in scope there.
-    arg_env = env + [(_OPAQUE, None)]
-    if isinstance(v2, Abs):
-        arg_body = _translate_comp(v2, arg_env)
-    else:
-        arg_body = SurfaceRecord()
-        arg_body.add_ref(_value_ref_at(v2, len(arg_env), env))
-    rec.add_def("argument", arg_body)
-    return rec
+    def comp(self, m: Term, p: Path) -> None:
+        """Translate the computation m into the record at path p."""
+        nodes = self.nodes
+        if isinstance(m, Var):
+            nodes[p] = Node(inherits=frozenset({self.ref(m, len(p))}))
+        elif isinstance(m, Abs):
+            nodes[p] = _LAMBDA_NODE
+            nodes[p + _ARGUMENT] = _EMPTY_NODE
+            self.bound(m.param, len(p), _ARGUMENT, m.body, p + ("result",))
+        elif isinstance(m, Let):
+            name = m.name
+            if name in SYNTHETIC_LABELS:
+                raise SyntheticNameCollision(
+                    f"let-name {name!r} collides with a synthetic label"
+                )
+            if not isinstance(m.rhs, App):
+                raise ValueError(_NOT_ANF)
+            nodes[p] = Node(frozenset({name, "result"}))
+            self.application(m.rhs, p + (name,))
+            self.bound(name, len(p), (name, "result"), m.body, p + ("result",))
+        elif isinstance(m, App):
+            nodes[p] = _TAIL_NODE
+            nodes[p + ("result",)] = _FORWARD_NODE
+            self.application(m, p + ("tailCall",))
+        else:
+            raise ValueError(_NOT_ANF)
 
+    def bound(self, name: str, level: int, downs: tuple, body: Term, p: Path) -> None:
+        """Translate body at path p with name bound at the given level."""
+        scope = self.scope
+        outer = scope.get(name)
+        scope[name] = (level, downs)
+        self.comp(body, p)
+        if outer is None:
+            del scope[name]
+        else:
+            scope[name] = outer
 
-def _translate_comp(m: Term, env: list) -> SurfaceRecord:
-    """Translate a computation into the record at level len(env)."""
-    level = len(env)
-    if isinstance(m, Abs):
-        rec = SurfaceRecord()
-        rec.add_def("argument", SurfaceRecord())
-        rec.add_def("result", _translate_comp(m.body, env + [(_LAM, m.param)]))
-        return rec
-    if isinstance(m, Let):
-        rec = SurfaceRecord()
-        inner = env + [(_LET, m.name)]
-        assert isinstance(m.rhs, App)
-        rec.add_def(m.name, _application_record(m.rhs.fun, m.rhs.arg, inner))
-        rec.add_def("result", _translate_comp(m.body, inner))
-        return rec
-    if isinstance(m, App):
-        rec = SurfaceRecord()
-        inner = env + [(_OPAQUE, None)]
-        rec.add_def("tailCall", _application_record(m.fun, m.arg, inner))
-        forward = SurfaceRecord()
-        forward.add_ref(LexicalRef(("tailCall", "result")))
-        rec.add_def("result", forward)
-        return rec
-    if isinstance(m, Var):
-        rec = SurfaceRecord()
-        rec.add_ref(_value_ref_at(m, level, env))
-        return rec
-    raise TypeError(m)
+    def application(self, app: App, p: Path) -> None:
+        """The application record { T(V1), argument = T(V2) } at path p.
 
-
-def translate_surface(t: Term) -> SurfaceRecord:
-    if not is_anf(t):
-        raise ValueError("translate requires an ANF term")
-    free = free_vars(t)
-    if free:
-        raise FreeVariableError(f"translate requires a closed term: {sorted(free)}")
-    _check_let_names(t)
-    return _translate_comp(t, [])
+        A lambda literal in function position is inlined (set union): its
+        record is this record.  The argument counts this record as one
+        scope level, but the inlined binder is not in scope there.
+        """
+        fun, arg = app.fun, app.arg
+        if isinstance(fun, Var):
+            callee = frozenset({self.ref(fun, len(p))})
+            self.nodes[p] = Node(_APPLICATION_DEFINES, callee)
+        elif isinstance(fun, Abs):
+            self.nodes[p] = _LAMBDA_NODE
+            self.bound(fun.param, len(p), _ARGUMENT, fun.body, p + ("result",))
+        else:
+            raise ValueError(_NOT_ANF)
+        if not isinstance(arg, (Var, Abs)):
+            raise ValueError(_NOT_ANF)
+        self.comp(arg, p + _ARGUMENT)
 
 
 def translate(t: Term) -> CoreProgram:
-    return resolve_references(translate_surface(t))
+    """The record program of a closed ANF term.
+
+    Raises ValueError if t is not in ANF, FreeVariableError if it is open,
+    and SyntheticNameCollision if a let-name is a synthetic label; a term
+    with several faults raises for the first one the walk meets.
+    """
+    translation = _Translation()
+    translation.comp(t, ROOT)
+    return CoreProgram(translation.nodes)
+
+
+def translate_surface(t: Term) -> SurfaceRecord:
+    """The table of ``translate(t)`` as surface records, one per node, with
+    indexed references: ``resolve_references`` of it is ``translate(t)``."""
+    nodes = translate(t).nodes
+
+    def record(p: Path) -> SurfaceRecord:
+        node = nodes[p]
+        return SurfaceRecord(
+            {label: record(p + (label,)) for label in sorted(node.defines)},
+            [IndexedRef(ref.n, ref.downs) for ref in sorted(node.inherits)],
+        )
+
+    return record(ROOT)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +493,20 @@ class ConvergenceReport:
         return f"not converged: {self.reason}"
 
 
+def _scan_result_chain(labels, max_depth: int, base_path: Path = ()) -> ConvergenceReport:
+    """Scan n = 0, 1, ... for the least result-chain depth at which
+    ``labels`` of the path has both ``argument`` and ``result`` (the
+    abstraction shape)."""
+    for n in range(max_depth + 1):
+        try:
+            found = labels(base_path + ("result",) * n)
+        except DivergenceError as exc:
+            return ConvergenceReport(False, None, exc.kind)
+        if "argument" in found and "result" in found:
+            return ConvergenceReport(True, n, None)
+    return ConvergenceReport(False, None, "DepthExceeded")
+
+
 def converges(
     prog: CoreProgram,
     fuel: int = DEFAULT_FUEL,
@@ -474,19 +514,10 @@ def converges(
     base_path: Path = (),
     ctx: EvalContext | None = None,
 ) -> ConvergenceReport:
-    """Scan n = 0, 1, ... for the least result-chain depth at which both
-    ``argument`` and ``result`` are properties (the abstraction shape)."""
+    """The result-chain scan over the general engine's ``properties``."""
     if ctx is None:
         ctx = EvalContext(prog, fuel=fuel)
-    for n in range(max_depth + 1):
-        p = base_path + ("result",) * n
-        try:
-            props = ctx.properties(p)
-        except DivergenceError as exc:
-            return ConvergenceReport(False, None, exc.kind)
-        if "argument" in props and "result" in props:
-            return ConvergenceReport(True, n, None)
-    return ConvergenceReport(False, None, "DepthExceeded")
+    return _scan_result_chain(ctx.properties, max_depth, base_path)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ import pytest
 from conftest import labels_struct, properties_struct
 from inhcalc.anf_direct import (
     DirectContext,
-    DirectNode,
     converges_direct,
     extract,
 )
 from inhcalc.corpus import corpus_terms
 from inhcalc.lam import (
     NAMED_TERMS,
+    Abs,
+    App,
+    Let,
+    Var,
     anf_transform,
     converges,
     parse_lambda,
@@ -57,6 +60,16 @@ def test_extract_rejects_non_anf_and_open_terms():
         extract(parse_lambda(r"(\x. x x) (\y. y) (\z. z)"))
     with pytest.raises(ValueError):
         extract(parse_lambda("x", allow_free=True))
+    with pytest.raises(ValueError):
+        extract(Abs("x", Let("result", App(Var("x"), Var("x")), Var("result"))))
+
+
+def test_extract_views_the_translate_table():
+    for _, anf in corpus_terms(6):
+        dp = extract(anf)
+        assert dp.nodes == translate(anf).nodes
+        for p, node in dp.nodes.items():
+            assert (dp.children(p), dp.refs(p)) == (node.defines, node.inherits)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,24 @@ def test_query_parse_error_is_input_error(runner, tmp_path):
     assert "error:" in result.output
 
 
+def _assert_resource_limit(result):
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: resource limit")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.output
+
+
+def test_query_too_deep_nest_is_resource_limit(runner, tmp_path):
+    # properties overflows the Python stack on a 200-level nest
+    depth = 200
+    path = tmp_path / "nest.inh"
+    path.write_text("{A = " + "{a = " * depth + "{}" + "}" * depth + ", B = {A}}")
+    result = runner.invoke(
+        main, ["query", str(path), "--path", "B" + ".a" * (depth - 1)]
+    )
+    _assert_resource_limit(result)
+
+
 def test_check(runner, program_file):
     result = runner.invoke(main, ["check", program_file])
     assert result.exit_code == 0
@@ -109,6 +127,13 @@ def test_lambda_converges_expect_flag(runner):
     )
     assert result.exit_code == 1
     assert result.output.startswith("not converged:")
+
+
+def test_lambda_converges_long_chain_is_resource_limit(runner):
+    # 1,000 chained identity redexes overflow the lambda parser's stack
+    chain = "".join(f"(\\x{i}. x{i}) (" for i in range(1000)) + "\\y. y" + ")" * 1000
+    result = runner.invoke(main, ["lambda", "converges", chain])
+    _assert_resource_limit(result)
 
 
 def test_lambda_bohm(runner):

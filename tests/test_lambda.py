@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inhcalc.corpus import _terms, enumerate_closed_terms
+from inhcalc.corpus import _terms, corpus_terms, enumerate_closed_terms
 from inhcalc.lam import (
     Abs,
     App,
@@ -33,9 +34,10 @@ from inhcalc.lam import (
     substitute,
     term_text,
     translate,
+    translate_surface,
 )
 from inhcalc.semantics import EvalContext
-from inhcalc.syntax import parse_program, render
+from inhcalc.syntax import parse_program, render, resolve_references
 
 # ---------------------------------------------------------------------------
 # Parsing and ANF
@@ -125,6 +127,68 @@ def test_translate_rejects_open_terms():
 def test_translate_requires_anf():
     with pytest.raises(ValueError):
         translate(parse_lambda(r"(\x. x x) (\y. y) (\z. z)"))
+
+
+# SHA-256 of "name<TAB>render(translate(t))" over corpus_terms(10), one line
+# per term: pins every translation table of the size-10 sweep.
+CORPUS_10_TABLES_SHA256 = (
+    "ac559cf41a7c422bf6e5d5116a08735232b5e6c2b1c6e6c7784761cfe15c3c97"
+)
+
+
+def test_translate_tables_pinned_on_corpus():
+    terms = corpus_terms(10)
+    assert len(terms) == 10_191
+    text = "\n".join(f"{name}\t{render(translate(t))}" for name, t in terms)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_10_TABLES_SHA256
+
+
+def test_translate_surface_resolves_to_translate():
+    rng = random.Random(5)
+    for _, anf in rng.sample(corpus_terms(8), 200):
+        assert resolve_references(translate_surface(anf)) == translate(anf)
+
+
+@pytest.mark.parametrize(
+    "term, error",
+    [
+        # not ANF: an application in function position
+        (parse_lambda(r"(\x. x x) (\y. y) (\z. z)"), ValueError),
+        # not ANF: a let whose right side is not an application
+        (Let("r", Abs("x", Var("x")), Var("r")), ValueError),
+        # not ANF: an application nested in an argument, under a binder
+        (Abs("f", App(Var("f"), App(Var("f"), Var("f")))), ValueError),
+        # open: free in tail position, in an argument, in a let's right side
+        (Var("x"), FreeVariableError),
+        (Abs("y", App(Var("y"), Var("x"))), FreeVariableError),
+        (Let("r", App(Abs("y", Var("y")), Var("x")), Var("r")), FreeVariableError),
+        # let-names that collide with the synthetic labels
+        (Abs("x", Let("result", App(Var("x"), Var("x")), Var("result"))),
+         SyntheticNameCollision),
+        (Abs("x", Let("argument", App(Var("x"), Var("x")), Var("x"))),
+         SyntheticNameCollision),
+        (Abs("x", Let("tailCall", App(Var("x"), Var("x")), Var("x"))),
+         SyntheticNameCollision),
+    ],
+)
+def test_translate_single_fault_errors(term, error):
+    with pytest.raises(error):
+        translate(term)
+    with pytest.raises(error):
+        translate_surface(term)
+
+
+def test_let_right_side_sees_the_outer_binding():
+    # a let-name is in scope in the let's body only, as in named_to_oracle:
+    # the q on the right of "let q = q q" is the outer q
+    for text in (
+        r"(\q. let q = q q in q) (\x. x)",
+        r"let q = (\x. x) (\x. x) in let q = q q in q",
+    ):
+        anf = anf_transform(parse_lambda(text))
+        assert head_reduce(named_to_oracle(anf)).status == "hnf"
+        report = converges(translate(anf), fuel=10_000)
+        assert (report.converged, report.depth) == (True, 2)
 
 
 # ---------------------------------------------------------------------------
