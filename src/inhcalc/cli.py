@@ -18,6 +18,7 @@ from .lam import (
     DEFAULT_MAX_DEPTH,
     FreeVariableError,
     LambdaParseError,
+    SyntheticNameCollision,
     anf_transform,
     bohm_prefix,
     bohm_text,
@@ -53,6 +54,8 @@ def _load_program(file: str):
             source = handle.read()
     except OSError as exc:
         _fail_input(str(exc))
+    except UnicodeDecodeError as exc:
+        _fail_input(f"{file}: {exc}")
     try:
         return parse_program(source)
     except (ParseError, ResolutionError) as exc:
@@ -161,7 +164,7 @@ def check(file):
 def _parse_term(expr: str):
     try:
         return anf_transform(parse_lambda(expr))
-    except (LambdaParseError, FreeVariableError) as exc:
+    except (LambdaParseError, FreeVariableError, SyntheticNameCollision) as exc:
         _fail_input(str(exc))
 
 

@@ -95,18 +95,6 @@ def free_vars(t: Term, bound: frozenset[str] = frozenset()) -> set[str]:
     raise TypeError(t)
 
 
-def bound_names(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return set()
-    if isinstance(t, Abs):
-        return {t.param} | bound_names(t.body)
-    if isinstance(t, App):
-        return bound_names(t.fun) | bound_names(t.arg)
-    if isinstance(t, Let):
-        return {t.name} | bound_names(t.rhs) | bound_names(t.body)
-    raise TypeError(t)
-
-
 def term_text(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
@@ -131,7 +119,7 @@ def term_text(t: Term) -> str:
 
 _LAM_TOKEN_RE = re.compile(
     r"\s+|(?P<lam>\\|λ)|(?P<lp>\()|(?P<rp>\))|(?P<dot>\.)|(?P<eq>=)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
 
@@ -249,19 +237,27 @@ def is_anf_value(t: Term) -> bool:
     return False
 
 
-def _check_let_names(t: Term) -> None:
-    if isinstance(t, Let):
+def _names(t: Term, out: set[str]) -> set[str]:
+    """Add every name in t to out; a synthetic let-name raises."""
+    if isinstance(t, Var):
+        out.add(t.name)
+    elif isinstance(t, Abs):
+        out.add(t.param)
+        _names(t.body, out)
+    elif isinstance(t, App):
+        _names(t.fun, out)
+        _names(t.arg, out)
+    elif isinstance(t, Let):
         if t.name in SYNTHETIC_LABELS:
             raise SyntheticNameCollision(
                 f"let-name {t.name!r} collides with a synthetic label"
             )
-        _check_let_names(t.rhs)
-        _check_let_names(t.body)
-    elif isinstance(t, Abs):
-        _check_let_names(t.body)
-    elif isinstance(t, App):
-        _check_let_names(t.fun)
-        _check_let_names(t.arg)
+        out.add(t.name)
+        _names(t.rhs, out)
+        _names(t.body, out)
+    else:
+        raise TypeError(t)
+    return out
 
 
 def anf_transform(t: Term) -> Term:
@@ -273,8 +269,7 @@ def anf_transform(t: Term) -> Term:
     for ``(a b)(b false true)``.  Terms already in ANF pass through with
     their let-names intact.
     """
-    _check_let_names(t)
-    used = bound_names(t) | free_vars(t)
+    used = _names(t, set())
     counter = [0]
 
     def fresh() -> str:

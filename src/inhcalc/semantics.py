@@ -15,7 +15,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .syntax import CoreProgram, Path, Reference, ROOT, path_text
+from .syntax import CoreProgram, Path, ROOT, path_text
 
 DEFAULT_FUEL = 1_000_000
 
@@ -302,96 +302,27 @@ class ObservationTree:
         return json.dumps(conv(self), indent=2, sort_keys=True)
 
 
-# ---------------------------------------------------------------------------
-# Naive (un-memoized) reference evaluator for differential testing
-# ---------------------------------------------------------------------------
+class _Forgetful(dict):
+    """A memo table that stores nothing: every lookup misses."""
 
-class NaiveEvaluator:
-    """Plain recursive evaluation of the same equations: no memo table, no
-    in-progress markers, only a fuel bound.  Exponentially slower, used
-    exclusively to cross-check the memoized evaluator on small queries.
-    """
+    def get(self, key, default=None):
+        return default
+
+    def __contains__(self, key):
+        return False
+
+    def __setitem__(self, key, value):
+        pass
+
+    def __delitem__(self, key):
+        pass
+
+
+class NaiveEvaluator(EvalContext):
+    """The same equations over a memo that forgets: no cache and no cycle
+    detection, one unit of fuel per call.  Exponentially slower; the
+    memoized engine is checked against it on small queries."""
 
     def __init__(self, program: CoreProgram, fuel: int = 200_000):
-        self.program = program
-        self.fuel = fuel
-
-    def _tick(self, witness):
-        if self.fuel <= 0:
-            raise DivergenceError("FuelExhausted", witness)
-        self.fuel -= 1
-
-    def properties(self, p: Path) -> frozenset[str]:
-        self._tick(("properties", p))
-        out = set()
-        for _, p_override in self.supers(p):
-            out |= self.program.defines(p_override)
-        return frozenset(out)
-
-    def supers(self, p: Path) -> frozenset:
-        self._tick(("supers", p))
-        pairs = set()
-        for p_base in self.bases_star(p):
-            context = ABOVE_ROOT if p_base == ROOT else p_base[:-1]
-            for p_override in self.overrides(p_base):
-                pairs.add((context, p_override))
-        return frozenset(pairs)
-
-    def bases_star(self, p: Path) -> frozenset[Path]:
-        self._tick(("bases*", p))
-        seen = {p}
-        work = [p]
-        while work:
-            q = work.pop()
-            for b in self.bases(q):
-                if b not in seen:
-                    seen.add(b)
-                    work.append(b)
-        return frozenset(seen)
-
-    def overrides(self, p: Path) -> frozenset[Path]:
-        self._tick(("overrides", p))
-        if p == ROOT:
-            return frozenset({ROOT})
-        out = {p}
-        last = p[-1]
-        for _, p_branch in self.supers(p[:-1]):
-            if last in self.program.defines(p_branch):
-                out.add(p_branch + (last,))
-        return frozenset(out)
-
-    def bases(self, p: Path) -> frozenset[Path]:
-        self._tick(("bases", p))
-        out = set()
-        for p_override in self.overrides(p):
-            for ref in self.program.inherits(p_override):
-                if p == ROOT:
-                    raise ScopeUnderflowError(
-                        "a reference at the root has no enclosing scope"
-                    )
-                out |= self.resolve(p[:-1], p_override, ref.n, ref.downs)
-        return frozenset(out)
-
-    def resolve(self, p_site, p_def, n, downs) -> frozenset[Path]:
-        self._tick(("resolve", p_site, p_def, n, downs))
-        if not p_def:
-            raise ScopeUnderflowError(
-                "resolve requires a nonempty definition-site path"
-            )
-        return frozenset(
-            current + downs
-            for current in self.this(frozenset({p_site}), p_def[:-1], n)
-        )
-
-    def this(self, S, p_def, n) -> frozenset[Path]:
-        self._tick(("this", frozenset(S), p_def, n))
-        if n == 0:
-            return frozenset(S)
-        if p_def == ROOT:
-            raise ScopeUnderflowError(f"this step above the root (n={n} remaining)")
-        frontier = set()
-        for current in S:
-            for p_site, p_override in self.supers(current):
-                if p_override == p_def:
-                    frontier.add(p_site)
-        return self.this(frozenset(frontier), p_def[:-1], n - 1)
+        super().__init__(program, fuel)
+        self.memo = defaultdict(_Forgetful)

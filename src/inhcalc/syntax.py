@@ -115,18 +115,6 @@ def merge_records(a: SurfaceRecord, b: SurfaceRecord) -> SurfaceRecord:
     return out
 
 
-def record_of(*elements) -> SurfaceRecord:
-    """Build a SurfaceRecord from (label, body) pairs and SurfaceRefs."""
-    rec = SurfaceRecord()
-    for el in elements:
-        if isinstance(el, tuple):
-            label, body = el
-            rec.add_def(label, body)
-        else:
-            rec.add_ref(el)
-    return rec
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------

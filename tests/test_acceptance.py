@@ -236,7 +236,9 @@ def test_criterion_9_well_definedness():
         with pytest.raises(DivergenceError) as exc:
             EvalContext(cyclic).properties(("a",))
         assert exc.value.kind == "Cycle"
-        # a small budget makes the naive engine report exhaustion before
-        # its unbounded recursion overflows the interpreter stack
-        with pytest.raises(DivergenceError):
+        # the naive engine has no cycle detection: a small budget makes it
+        # report exhaustion before its unbounded recursion overflows the
+        # interpreter stack
+        with pytest.raises(DivergenceError) as exc:
             NaiveEvaluator(cyclic, fuel=500).properties(("a",))
+        assert exc.value.kind == "FuelExhausted"

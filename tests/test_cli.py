@@ -103,6 +103,14 @@ def test_check(runner, program_file):
     assert result.output.startswith("ok: ")
 
 
+def test_check_non_utf8_file_is_input_error(runner, tmp_path):
+    path = tmp_path / "latin1.inh"
+    path.write_bytes("{caf\xe9 = {}}".encode("latin-1"))
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {path}: 'utf-8' codec")
+
+
 # ---------------------------------------------------------------------------
 # lambda bridge
 # ---------------------------------------------------------------------------
@@ -149,6 +157,22 @@ def test_lambda_parse_error(runner):
 
 def test_lambda_free_variable_error(runner):
     result = runner.invoke(main, ["lambda", "converges", "x y"])
+    assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["translate", "converges", "bohm"])
+def test_lambda_synthetic_let_name_is_input_error(runner, command):
+    term = r"let argument = (\x. x) (\y. y) in argument"
+    result = runner.invoke(main, ["lambda", command, term])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        "error: let-name 'argument' collides with a synthetic label\n"
+    )
+
+
+def test_lambda_primed_identifier_is_input_error(runner):
+    # record labels cannot contain a prime, so neither can lambda names
+    result = runner.invoke(main, ["lambda", "translate", r"\f. let x' = f f in x'"])
     assert result.exit_code == 2
 
 

@@ -65,6 +65,8 @@ def test_parse_lambda_let():
 def test_parse_lambda_errors():
     with pytest.raises(LambdaParseError):
         parse_lambda(r"\x. (x")
+    with pytest.raises(LambdaParseError):
+        parse_lambda(r"\f. let x' = f f in x'")
     with pytest.raises(FreeVariableError):
         parse_lambda("x y")
     assert parse_lambda("x", allow_free=True) == Var("x")
@@ -141,6 +143,14 @@ def test_translate_tables_pinned_on_corpus():
     assert len(terms) == 10_191
     text = "\n".join(f"{name}\t{render(translate(t))}" for name, t in terms)
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_10_TABLES_SHA256
+
+
+def test_rendered_translation_reparses():
+    terms = corpus_terms(8)
+    assert len(terms) == 718
+    for _, anf in terms:
+        prog = translate(anf)
+        assert parse_program(render(prog)) == prog
 
 
 def test_translate_surface_resolves_to_translate():

@@ -154,13 +154,21 @@ def test_determinism_across_contexts():
 
 
 def test_memoized_matches_naive_on_micro_programs():
-    for src in (P1, P2, "{a = {^0}}", "{a = {b, x = {}}, b = {a, y = {}}}"):
+    # the naive engine spends one unit of fuel per equation call, so its
+    # total pins the call tree of the loop below
+    for src, naive_fuel in (
+        (P1, 576),
+        (P2, 427),
+        ("{a = {^0}}", 52),
+        ("{a = {b, x = {}}, b = {a, y = {}}}", 419),
+    ):
         prog = parse_program(src)
         ctx = EvalContext(prog)
         naive = NaiveEvaluator(prog, fuel=100_000)
         for p in prog.paths():
             assert ctx.properties(p) == naive.properties(p)
             assert ctx.supers(p) == naive.supers(p)
+        assert 100_000 - naive.fuel == naive_fuel, src
 
 
 # ---------------------------------------------------------------------------
