@@ -1,8 +1,7 @@
 """Direct set-theoretic semantics of ANF terms.
 
 The direct engine reads the node table that ``lam.translate`` writes for
-the general engine, viewed as ``children`` (a node's ``defines``) and
-``refs`` (its ``inherits``).  The table is shared; the equations are not.
+the general engine.  The table is shared; the equations are not.
 ``labels``, ``grafts``, ``callee``, ``scope`` and ``callee_ctx`` are
 specialized to images of the translation and written independently of
 the six general equations.  ``scope`` is single-valued: on images of the
@@ -45,22 +44,11 @@ class AmbiguousCaller(Exception):
         self.candidates = candidates
 
 
-class DirectProgram:
-    """A view of a translated node table: ``children`` reads ``defines``
-    and ``refs`` reads ``inherits``."""
-
-    def __init__(self, core: CoreProgram):
-        self.nodes = core.nodes
-        self.children = core.defines
-        self.refs = core.inherits
-        self.paths = core.paths
-
-
-def extract(t: Term) -> DirectProgram:
-    """The direct view of ``translate(t)``; ValueError on any term that
-    ``translate`` rejects (not ANF, open, or a synthetic let-name)."""
+def extract(t: Term) -> CoreProgram:
+    """``translate(t)``; ValueError on any term that ``translate``
+    rejects (not ANF, open, or a synthetic let-name)."""
     try:
-        return DirectProgram(translate(t))
+        return translate(t)
     except (FreeVariableError, SyntheticNameCollision) as exc:
         raise ValueError(str(exc)) from exc
 
@@ -72,7 +60,7 @@ def extract(t: Term) -> DirectProgram:
 class DirectContext:
     """Memoized demand-driven evaluation of the direct ANF equations."""
 
-    def __init__(self, program: DirectProgram, fuel: int = DEFAULT_FUEL):
+    def __init__(self, program: CoreProgram, fuel: int = DEFAULT_FUEL):
         self.program = program
         self.fuel = fuel
         self.memo: defaultdict = defaultdict(dict)
@@ -82,7 +70,7 @@ class DirectContext:
         out = set()
         for p_step in self.callee_star(p):
             for p_graft in self.grafts(p_step):
-                out |= self.program.children(p_graft)
+                out |= self.program.defines(p_graft)
         return frozenset(out)
 
     @equation("grafts")
@@ -97,7 +85,7 @@ class DirectContext:
         # the parent.
         for p_step in self.callee_star(p[:-1]):
             for p_graft in self.grafts(p_step):
-                if last in self.program.children(p_graft):
+                if last in self.program.defines(p_graft):
                     out.add(p_graft + (last,))
         return frozenset(out)
 
@@ -117,7 +105,7 @@ class DirectContext:
     def callee(self, p: Path) -> frozenset[Path]:
         out = set()
         for p_graft in self.grafts(p):
-            for ref in self.program.refs(p_graft):
+            for ref in self.program.inherits(p_graft):
                 if p == ROOT:
                     raise ScopeUnderflowError(
                         "a reference at the root has no enclosing scope"
@@ -152,21 +140,9 @@ class DirectContext:
                 pairs.add((context, p_graft))
         return frozenset(pairs)
 
-    def observe_structure(self, p: Path, depth: int):
-        """Label-keyed observation structure comparable with the general
-        evaluator's ObservationTree.structure()."""
-        labels = tuple(sorted(self.labels(p)))
-        children = ()
-        if depth > 0:
-            children = tuple(
-                (label, self.observe_structure(p + (label,), depth - 1))
-                for label in labels
-            )
-        return (None, labels, children)
-
 
 def converges_direct(
-    dp: DirectProgram,
+    dp: CoreProgram,
     fuel: int = DEFAULT_FUEL,
     max_depth: int = 64,
     ctx: DirectContext | None = None,

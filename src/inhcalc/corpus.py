@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .anf_direct import (
-    DirectProgram,
     converges_direct,
     extract,  # noqa: F401  (bench/layers.py traces corpus.extract)
 )
@@ -120,7 +119,7 @@ def judge(
     prog = translate(anf_term)  # one table, read by both engines
     ctx = EvalContext(prog, fuel=fuel, assert_single_path=assert_single_path)
     conv = converges(prog, max_depth=max_depth, ctx=ctx)
-    direct = converges_direct(DirectProgram(prog), fuel=fuel, max_depth=max_depth)
+    direct = converges_direct(prog, fuel=fuel, max_depth=max_depth)
     return Verdict(
         name, anf_term, oracle, conv, direct, len(ctx.single_path_violations)
     )

@@ -33,8 +33,8 @@ from importlib import resources
 
 from .semantics import DivergenceError, EvalContext
 from .syntax import (
+    ROOT,
     CoreProgram,
-    SurfaceRecord,
     parse,
     parse_path,
     parse_program,
@@ -217,8 +217,10 @@ def fragment_program(*names: str) -> CoreProgram:
     """A standalone program holding the named nat members plus their
     dependency closure, cross-referencing by name as in the combined
     fixture."""
-    combined = parse(fixture("nat").source)
-    rec = SurfaceRecord()
-    for member in _fragment_closure(names):
-        rec.add_def(member, combined.defs[member])
-    return resolve_references(rec)
+    members = dict.fromkeys(_fragment_closure(names))
+    table = {ROOT: (members, {})}
+    table.update(
+        (p, entry) for p, entry in parse(fixture("nat").source).items()
+        if p and p[0] in members
+    )
+    return resolve_references(table)

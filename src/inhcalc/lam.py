@@ -23,11 +23,10 @@ from .semantics import (
 from .syntax import (
     ROOT,
     CoreProgram,
-    IndexedRef,
     Node,
     Path,
     Reference,
-    SurfaceRecord,
+    SurfaceTable,
     resolve_references,  # noqa: F401  (bench/layers.py traces lam.resolve_references)
 )
 
@@ -457,19 +456,13 @@ def translate(t: Term) -> CoreProgram:
     return CoreProgram(translation.nodes)
 
 
-def translate_surface(t: Term) -> SurfaceRecord:
-    """The table of ``translate(t)`` as surface records, one per node, with
-    indexed references: ``resolve_references`` of it is ``translate(t)``."""
-    nodes = translate(t).nodes
-
-    def record(p: Path) -> SurfaceRecord:
-        node = nodes[p]
-        return SurfaceRecord(
-            {label: record(p + (label,)) for label in sorted(node.defines)},
-            [IndexedRef(ref.n, ref.downs) for ref in sorted(node.inherits)],
-        )
-
-    return record(ROOT)
+def translate_surface(t: Term) -> SurfaceTable:
+    """The table of ``translate(t)`` in the shape ``parse`` writes, labels
+    and references sorted: ``resolve_references`` of it is ``translate(t)``."""
+    return {
+        p: (dict.fromkeys(sorted(node.defines)), dict.fromkeys(sorted(node.inherits)))
+        for p, node in translate(t).nodes.items()
+    }
 
 
 # ---------------------------------------------------------------------------

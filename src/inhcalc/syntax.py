@@ -8,17 +8,23 @@ References come in three surface forms:
 * indexed    -- ``^2.a.b`` carries an explicit de Bruijn scope count
 * lexical    -- ``a.b`` names a sibling (or outer) definition by its head
 
-All three desugar to the same representation: a pair ``(n, downs)`` where
-``n`` counts enclosing scope levels upward (``n = 0`` is the scope
-enclosing the record that contains the reference) and ``downs`` is a list
-of downward projections.
+``parse`` writes the path table ``{path: (labels, references)}``: each
+record literal adds its labels and references to the entry of its path,
+so repeated definitions of a label share one path and compose by union.
+Both are insertion-ordered dicts, kept in order of first appearance.
+Indexed references parse straight to their desugared form, a
+``Reference(n, downs)``: ``n`` counts enclosing scope levels upward
+(``n = 0`` is the scope enclosing the record that contains the
+reference) and ``downs`` is a list of downward projections.
+``resolve_references`` desugars the named and lexical forms to the same
+representation.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Label = str
 Path = tuple[str, ...]
@@ -68,51 +74,14 @@ class NamedRef:
 
 
 @dataclass(frozen=True)
-class IndexedRef:
-    n: int
-    downs: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class LexicalRef:
     downs: tuple[str, ...]  # nonempty; downs[0] is the head label
 
 
-SurfaceRef = NamedRef | IndexedRef | LexicalRef
-
-
-@dataclass
-class SurfaceRecord:
-    """A record literal: a set of definitions and a set of references.
-
-    Duplicate same-label definitions are merged (union of bodies) at
-    construction time, and duplicate references are deduplicated, so the
-    representation is insensitive to element order and repetition.
-    """
-
-    defs: dict[str, "SurfaceRecord"] = field(default_factory=dict)
-    refs: list[SurfaceRef] = field(default_factory=list)
-
-    def add_def(self, label: str, body: "SurfaceRecord") -> None:
-        if label in self.defs:
-            self.defs[label] = merge_records(self.defs[label], body)
-        else:
-            self.defs[label] = body
-
-    def add_ref(self, ref: SurfaceRef) -> None:
-        if ref not in self.refs:
-            self.refs.append(ref)
-
-
-def merge_records(a: SurfaceRecord, b: SurfaceRecord) -> SurfaceRecord:
-    out = SurfaceRecord()
-    for label, body in a.defs.items():
-        out.add_def(label, body)
-    for label, body in b.defs.items():
-        out.add_def(label, body)
-    for ref in a.refs + b.refs:
-        out.add_ref(ref)
-    return out
+SurfaceRef = NamedRef | LexicalRef | Reference
+# path -> (labels defined there, references made there), each an
+# insertion-ordered dict used as an ordered set
+SurfaceTable = dict[Path, tuple[dict[str, None], dict[SurfaceRef, None]]]
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +146,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.table: SurfaceTable = {}
 
     def error(self, message: str):
         pos = _token_offset(self.source, self.i)
@@ -189,43 +159,44 @@ class _Parser:
         self.i += 1
         return token
 
-    def parse_program(self) -> SurfaceRecord:
-        rec = self.parse_record()
+    def parse_program(self) -> SurfaceTable:
+        self.parse_record(ROOT)
         if self.tokens[self.i]:
             self.error("trailing input after top-level record")
-        return rec
+        return self.table
 
-    def parse_record(self) -> SurfaceRecord:
+    def parse_record(self, p: Path) -> None:
+        """Add the record literal at the cursor to the entry of ``p``."""
         self.expect("lb")
         tokens = self.tokens
-        rec = SurfaceRecord()
+        entry = self.table.setdefault(p, ({}, {}))
         if tokens[self.i] == "}":
             self.i += 1
-            return rec
+            return
         while True:
-            self.parse_element(rec)
+            self.parse_element(p, entry)
             if tokens[self.i] == ",":
                 self.i += 1
                 if tokens[self.i] == "}":  # trailing comma
                     self.i += 1
-                    return rec
+                    return
                 continue
             self.expect("rb")
-            return rec
+            return
 
-    def parse_element(self, rec: SurfaceRecord) -> None:
+    def parse_element(self, p: Path, entry) -> None:
         tokens, i = self.tokens, self.i
         if _kind(tokens[i]) == "ident" and tokens[i + 1] == "=":
             self.i = i + 2
+            entry[0][tokens[i]] = None
+            child = p + (tokens[i],)
             if tokens[i + 2] == "{":
-                body = self.parse_record()
+                self.parse_record(child)
             else:
                 # "x = r" sugars to "x = { r }"
-                body = SurfaceRecord()
-                body.add_ref(self.parse_reference())
-            rec.add_def(tokens[i], body)
+                self.table.setdefault(child, ({}, {}))[1][self.parse_reference()] = None
         else:
-            rec.add_ref(self.parse_reference())
+            entry[1][self.parse_reference()] = None
 
     def parse_reference(self) -> SurfaceRef:
         token = self.tokens[self.i]
@@ -236,7 +207,7 @@ class _Parser:
         if token == "^":
             self.i += 1
             n = int(self.expect("nat"))
-            return IndexedRef(n, self.parse_downs())
+            return Reference(n, self.parse_downs())
         if _kind(token) == "ident":
             self.i += 1
             return LexicalRef((token,) + self.parse_downs())
@@ -250,8 +221,8 @@ class _Parser:
         return tuple(downs)
 
 
-def parse(source: str) -> SurfaceRecord:
-    """Parse surface text into a SurfaceRecord (the surface program)."""
+def parse(source: str) -> SurfaceTable:
+    """Parse surface text into its path table (the surface program)."""
     return _Parser(source).parse_program()
 
 
@@ -299,38 +270,30 @@ class CoreProgram:
         return f"CoreProgram({len(self.nodes)} paths)"
 
 
-def _surface_defines(rec: SurfaceRecord, p: Path, acc: dict[Path, SurfaceRecord]):
-    acc[p] = rec
-    for label, body in rec.defs.items():
-        _surface_defines(body, p + (label,), acc)
-
-
-def resolve_references(sp: SurfaceRecord) -> CoreProgram:
+def resolve_references(table: SurfaceTable) -> CoreProgram:
     """Desugar all references to de Bruijn pairs, producing a CoreProgram.
 
     * named ``this@L.downs`` at path p: target the last occurrence of L
       among the labels of p; ``n = |p| - |p_target| - 1``.
     * lexical ``l1.l2...`` at path p: target the nearest proper prefix p'
-      with ``l1 in defines(p')``; ``n = |p| - |p'| - 1``.
-    * indexed references pass through unchanged.
+      with ``l1`` among the labels of p'; ``n = |p| - |p'| - 1``.
+    * indexed references are already desugared.
+
+    Of several unresolvable references, the first in the table's order
+    (paths in order of first appearance, then source order) is reported.
     """
-    records: dict[Path, SurfaceRecord] = {}
-    _surface_defines(sp, ROOT, records)
-
-    nodes: dict[Path, Node] = {}
-    for p, rec in records.items():
-        refs = set()
-        for ref in rec.refs:
-            refs.add(_resolve_one(ref, p, records))
-        nodes[p] = Node(frozenset(rec.defs), frozenset(refs))
-    return CoreProgram(nodes)
+    return CoreProgram({
+        p: Node(
+            frozenset(labels),
+            frozenset(_resolve_one(ref, p, table) for ref in refs),
+        )
+        for p, (labels, refs) in table.items()
+    })
 
 
-def _resolve_one(
-    ref: SurfaceRef, p: Path, records: dict[Path, SurfaceRecord]
-) -> Reference:
-    if isinstance(ref, IndexedRef):
-        return Reference(ref.n, ref.downs)
+def _resolve_one(ref: SurfaceRef, p: Path, table: SurfaceTable) -> Reference:
+    if isinstance(ref, Reference):
+        return ref
     if isinstance(ref, NamedRef):
         # Only proper prefixes of p are enclosing scopes of a reference
         # stored at p, so the record's own final label is not a target.
@@ -346,8 +309,7 @@ def _resolve_one(
     if isinstance(ref, LexicalRef):
         head = ref.downs[0]
         for i in range(len(p) - 1, -1, -1):
-            prefix = p[:i]
-            if head in records[prefix].defs:
+            if head in table[p[:i]][0]:
                 return Reference(len(p) - i - 1, ref.downs)
         raise ResolutionError(
             "LexicalNotFound",

@@ -6,27 +6,25 @@ import random
 
 from inhcalc.anf_direct import DirectContext
 from inhcalc.semantics import DivergenceError, EvalContext
-from inhcalc.syntax import IndexedRef, NamedRef, SurfaceRecord
+from inhcalc.syntax import ROOT, NamedRef, Reference, ref_text
 
 
 def ref_str(ref) -> str:
+    if isinstance(ref, Reference):
+        return ref_text(ref)
     if isinstance(ref, NamedRef):
-        out = f"this@{ref.up}"
-    elif isinstance(ref, IndexedRef):
-        out = f"^{ref.n}"
-    else:  # LexicalRef
-        return ".".join(ref.downs)
-    if ref.downs:
-        out += "." + ".".join(ref.downs)
-    return out
+        return ".".join((f"this@{ref.up}",) + ref.downs)
+    return ".".join(ref.downs)  # LexicalRef
 
 
-def mutated_text(rec: SurfaceRecord, rng: random.Random, dup: float = 0.25) -> str:
-    """Surface text of ``rec`` with elements shuffled and randomly
+def mutated_text(table, rng: random.Random, dup: float = 0.25, p=ROOT) -> str:
+    """Surface text of the record at ``p`` of the path table ``table``
+    (as ``parse`` writes it) with elements shuffled and randomly
     duplicated at every nesting level."""
-    parts = [ref_str(r) for r in rec.refs]
-    parts += [f"{label} = {mutated_text(body, rng, dup)}" for label, body in rec.defs.items()]
-    parts += [p for p in parts if rng.random() < dup]
+    labels, refs = table[p]
+    parts = [ref_str(r) for r in refs]
+    parts += [f"{label} = {mutated_text(table, rng, dup, p + (label,))}" for label in labels]
+    parts += [part for part in parts if rng.random() < dup]
     rng.shuffle(parts)
     return "{" + ", ".join(parts) + "}" if parts else "{}"
 

@@ -29,30 +29,30 @@ from inhcalc.syntax import Reference
 
 def test_extract_identity_table():
     dp = extract(parse_lambda(r"\x. x"))
-    assert dp.children(()) == {"argument", "result"}
-    assert dp.children(("argument",)) == frozenset()
-    assert dp.refs(("result",)) == {Reference(0, ("argument",))}
+    assert dp.defines(()) == {"argument", "result"}
+    assert dp.defines(("argument",)) == frozenset()
+    assert dp.inherits(("result",)) == {Reference(0, ("argument",))}
     assert dp.paths() == [(), ("argument",), ("result",)]
 
 
 def test_extract_let_table():
     dp = extract(anf_transform(parse_lambda(r"\f. let r = f f in r")))
-    assert dp.children(("result",)) == {"r", "result"}
+    assert dp.defines(("result",)) == {"r", "result"}
     # the let binding is an application node: callee f, argument f
-    assert dp.refs(("result", "r")) == {Reference(1, ("argument",))}
-    assert dp.children(("result", "r")) == {"argument"}
-    assert dp.refs(("result", "r", "argument")) == {Reference(2, ("argument",))}
+    assert dp.inherits(("result", "r")) == {Reference(1, ("argument",))}
+    assert dp.defines(("result", "r")) == {"argument"}
+    assert dp.inherits(("result", "r", "argument")) == {Reference(2, ("argument",))}
     # the let body projects the binding's result
-    assert dp.refs(("result", "result")) == {Reference(0, ("r", "result"))}
+    assert dp.inherits(("result", "result")) == {Reference(0, ("r", "result"))}
 
 
 def test_extract_tail_application_table():
     dp = extract(anf_transform(parse_lambda(r"(\x. x) (\y. y)")))
-    assert dp.children(()) == {"tailCall", "result"}
-    assert dp.refs(("result",)) == {Reference(0, ("tailCall", "result"))}
+    assert dp.defines(()) == {"tailCall", "result"}
+    assert dp.inherits(("result",)) == {Reference(0, ("tailCall", "result"))}
     # the lambda literal is inlined as the application record itself
-    assert dp.children(("tailCall",)) == {"argument", "result"}
-    assert dp.refs(("tailCall", "result")) == {Reference(0, ("argument",))}
+    assert dp.defines(("tailCall",)) == {"argument", "result"}
+    assert dp.inherits(("tailCall", "result")) == {Reference(0, ("argument",))}
 
 
 def test_extract_rejects_non_anf_and_open_terms():
@@ -66,10 +66,7 @@ def test_extract_rejects_non_anf_and_open_terms():
 
 def test_extract_views_the_translate_table():
     for _, anf in corpus_terms(6):
-        dp = extract(anf)
-        assert dp.nodes == translate(anf).nodes
-        for p, node in dp.nodes.items():
-            assert (dp.children(p), dp.refs(p)) == (node.defines, node.inherits)
+        assert extract(anf) == translate(anf)
 
 
 # ---------------------------------------------------------------------------

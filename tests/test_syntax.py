@@ -97,6 +97,18 @@ def test_named_not_found():
     with pytest.raises(ResolutionError) as exc:
         parse_program("{a = {r = this@Missing}}")
     assert exc.value.kind == "NamedNotFound"
+    # Of several unresolvable references, the one at the path that appears
+    # first in the source is reported (the first there in source order),
+    # also when a later duplicate definition adds one.
+    for src, where in [
+        ("{c = {}, a = {this@X}, c = {b = {this@Y}}}", "this@X at path a"),
+        ("{a = {this@X, this@Y}}", "this@X at path a"),
+    ]:
+        with pytest.raises(ResolutionError) as exc:
+            parse_program(src)
+        assert str(exc.value) == (
+            f"NamedNotFound: {where}: label does not name an enclosing scope"
+        )
 
 
 def test_lexical_not_found():
