@@ -1,11 +1,14 @@
 """Demand-driven evaluation of the six set-comprehension equations.
 
 The evaluator answers membership queries (``properties``, ``supers``,
-``overrides``, ``bases``, ``resolve``, ``this``) over a CoreProgram by
-unfolding the mutually recursive equations on demand.  Results are
-memoized per query key; a query key that re-enters its own in-flight
-evaluation reports ``Divergence(Cycle)``, and a global fuel budget bounds
-infinite acyclic unfoldings with ``Divergence(FuelExhausted)``.
+``overrides``, ``bases``, ``resolve``, ``this``, and ``bases*``, the
+closure of ``bases``) over a CoreProgram by unfolding the mutually
+recursive equations on demand.  The equations run on integer path ids:
+a context interns each path it meets once, in a (parent, label) trie,
+and its public methods take and return paths.  Results are memoized per
+query key; a query key that re-enters its own in-flight evaluation
+reports ``Divergence(Cycle)``, and a global fuel budget bounds infinite
+acyclic unfoldings with ``Divergence(FuelExhausted)``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .syntax import CoreProgram, Path, ROOT, path_text
+from .syntax import CoreProgram, Node, Path, ROOT, path_text
 
 DEFAULT_FUEL = 1_000_000
+
+_NO_NODE = Node()
 
 
 class _AboveRoot:
@@ -49,9 +54,12 @@ class DivergenceError(Exception):
     """A query whose recursive evaluation does not terminate."""
 
     def __init__(self, kind: str, witness):
-        super().__init__(f"Divergence({kind}) at {witness!r}")
+        super().__init__(kind, witness)
         self.kind = kind  # "Cycle" | "FuelExhausted"
         self.witness = witness
+
+    def __str__(self):
+        return f"Divergence({self.kind}) at {self.witness!r}"
 
 
 class ScopeUnderflowError(Exception):
@@ -126,7 +134,12 @@ def equation(tag: str):
 
 
 class EvalContext:
-    """Memoization tables and fuel for one program.
+    """Memoization tables, fuel and interned paths for one program.
+
+    The equations run on path ids: each path they meet is interned once,
+    as a node of a (parent, label) trie that the context owns, so a memo
+    key hashes in O(1) and a step to a known parent or child allocates
+    nothing.  The public methods take and return paths.
 
     A context is single-threaded; create one context per evaluation.
     Results are immutable frozensets, safe to share once computed.
@@ -143,96 +156,213 @@ class EvalContext:
         self.assert_single_path = assert_single_path
         self.single_path_violations: list[SinglePathViolation] = []
         self.memo: defaultdict = defaultdict(dict)
+        # The trie: per id, its path, parent id, children by label and
+        # node; the root is id 0.
+        self._path: list[Path] = [ROOT]
+        self._parent: list = [ABOVE_ROOT]
+        self._kids: list[dict[str, int]] = [{}]
+        self._node: list[Node] = [program.nodes.get(ROOT, _NO_NODE)]
+        # label -> the override ids of supers(p) that define that label,
+        # once per base that reaches them.  Every run of supers(p) writes
+        # it, so it is there after a call even when the memo forgets.
+        self._members: dict[int, dict[str, list[int]]] = {}
 
-    # -- the six equations --------------------------------------------------
+    def _add_child(self, i: int, label: str) -> int:
+        """Intern the child ``label`` of id ``i``.  Callers look a known
+        child up as ``self._kids[i].get(label)`` first: no child is the
+        root, so a known child's id is nonzero."""
+        j = self._kids[i][label] = len(self._path)
+        p = self._path[i] + (label,)
+        self._path.append(p)
+        self._parent.append(i)
+        self._kids.append({})
+        self._node.append(self.program.nodes.get(p, _NO_NODE))
+        return j
+
+    def _intern(self, p: Path) -> int:
+        i, kids = 0, self._kids
+        for label in p:
+            i = kids[i].get(label) or self._add_child(i, label)
+        return i
+
+    def _in_paths(self, exc: DivergenceError) -> None:
+        """Give the divergence the path-valued witness its ids stand for."""
+        tag, *ids = exc.witness
+        # resolve and this take two ids (this's first is a set of ids)
+        k = 2 if tag in ("resolve", "this") else 1
+        exc.witness = (tag, *map(self._paths, ids[:k]), *ids[k:])
+        exc.args = (exc.kind, exc.witness)
+
+    def _paths(self, ids):
+        """The path of an id, or the paths of a frozenset of ids."""
+        if isinstance(ids, frozenset):
+            return frozenset(map(self._path.__getitem__, ids))
+        return self._path[ids]
+
+    # -- the equations, on path ids -----------------------------------------
 
     @equation("properties")
-    def properties(self, p: Path) -> frozenset[str]:
-        out = set()
-        for _, p_override in self.supers(p):
-            out |= self.program.defines(p_override)
-        return frozenset(out)
+    def _properties(self, p: int) -> frozenset[str]:
+        self._supers(p)
+        return frozenset(self._members[p])
 
     @equation("supers")
-    def supers(self, p: Path) -> frozenset:
+    def _supers(self, p: int) -> frozenset:
+        parent, node = self._parent, self._node
         pairs = set()
-        for p_base in self.bases_star(p):
-            context = ABOVE_ROOT if p_base == ROOT else p_base[:-1]
-            for p_override in self.overrides(p_base):
+        members = defaultdict(list)
+        for p_base in self._bases_star(p):
+            context = parent[p_base]
+            for p_override in self._overrides(p_base):
                 pairs.add((context, p_override))
+                for label in node[p_override].defines:
+                    members[label].append(p_override)
+        self._members[p] = members
         return frozenset(pairs)
 
     @equation("bases*")
-    def bases_star(self, p: Path) -> frozenset[Path]:
+    def _bases_star(self, p: int) -> frozenset[int]:
         """Reflexive-transitive closure of ``bases`` via a membership-checked
         worklist, so mutually referencing siblings have a finite closure."""
         seen = {p}
         work = [p]
         while work:
             q = work.pop()
-            for b in self.bases(q):
+            for b in self._bases(q):
                 if b not in seen:
                     seen.add(b)
                     work.append(b)
         return frozenset(seen)
 
     @equation("overrides")
-    def overrides(self, p: Path) -> frozenset[Path]:
-        if p == ROOT:
-            return frozenset({ROOT})
+    def _overrides(self, p: int) -> frozenset[int]:
+        if p == 0:
+            return frozenset({0})
+        parent = self._parent[p]
+        self._supers(parent)
+        label, kids = self._path[p][-1], self._kids
         out = {p}
-        last = p[-1]
-        for _, p_branch in self.supers(p[:-1]):
-            if last in self.program.defines(p_branch):
-                out.add(p_branch + (last,))
+        for q in self._members[parent].get(label, ()):
+            out.add(kids[q].get(label) or self._add_child(q, label))
         return frozenset(out)
 
     @equation("bases")
-    def bases(self, p: Path) -> frozenset[Path]:
+    def _bases(self, p: int) -> frozenset[int]:
         out = set()
-        for p_override in self.overrides(p):
-            for ref in self.program.inherits(p_override):
-                if p == ROOT:
+        for p_override in self._overrides(p):
+            for ref in self._node[p_override].inherits:
+                if p == 0:
                     raise ScopeUnderflowError(
                         "a reference at the root has no enclosing scope"
                     )
-                out |= self.resolve(p[:-1], p_override, ref.n, ref.downs)
+                out |= self._resolve(self._parent[p], p_override, ref.n, ref.downs)
         return frozenset(out)
 
     @equation("resolve")
-    def resolve(
-        self, p_site: Path, p_def: Path, n: int, downs: tuple[str, ...]
-    ) -> frozenset[Path]:
-        if not p_def:
+    def _resolve(
+        self, p_site: int, p_def: int, n: int, downs: tuple[str, ...]
+    ) -> frozenset[int]:
+        if p_def == 0:
             raise ScopeUnderflowError(
                 "resolve requires a nonempty definition-site path"
             )
-        return frozenset(
-            current + downs
-            for current in self.this(frozenset({p_site}), p_def[:-1], n)
-        )
+        out = set()
+        kids = self._kids
+        for current in self._this(frozenset({p_site}), self._parent[p_def], n):
+            for label in downs:
+                current = kids[current].get(label) or self._add_child(current, label)
+            out.add(current)
+        return frozenset(out)
 
     @equation("this")
-    def this(self, S: frozenset[Path], p_def: Path, n: int) -> frozenset[Path]:
+    def _this(self, S: frozenset[int], p_def: int, n: int) -> frozenset[int]:
         if n == 0:
             return S
         if self.assert_single_path and len(S) != 1:
-            self.single_path_violations.append(SinglePathViolation(S, p_def, n))
-        if p_def == ROOT:
+            self.single_path_violations.append(
+                SinglePathViolation(self._paths(S), self._path[p_def], n)
+            )
+        if p_def == 0:
             raise ScopeUnderflowError(f"this step above the root (n={n} remaining)")
         frontier = set()
         for current in S:
-            for p_site, p_override in self.supers(current):
+            for p_site, p_override in self._supers(current):
                 if p_override == p_def:
                     assert p_site is not ABOVE_ROOT, "AboveRoot matched a this step"
                     frontier.add(p_site)
-        return self.this(frozenset(frontier), p_def[:-1], n - 1)
+        return self._this(frozenset(frontier), self._parent[p_def], n - 1)
+
+    # -- the equations, on paths ----------------------------------------------
+    # Each converts at the boundary, divergence witnesses included.
+
+    def properties(self, p: Path) -> frozenset[str]:
+        try:
+            return self._properties(self._intern(p))
+        except DivergenceError as exc:
+            self._in_paths(exc)
+            raise
+
+    def supers(self, p: Path) -> frozenset:
+        try:
+            pairs = self._supers(self._intern(p))
+        except DivergenceError as exc:
+            self._in_paths(exc)
+            raise
+        path = self._path
+        return frozenset(
+            (context if context is ABOVE_ROOT else path[context], path[p_override])
+            for context, p_override in pairs
+        )
+
+    def bases_star(self, p: Path) -> frozenset[Path]:
+        try:
+            return self._paths(self._bases_star(self._intern(p)))
+        except DivergenceError as exc:
+            self._in_paths(exc)
+            raise
+
+    def overrides(self, p: Path) -> frozenset[Path]:
+        try:
+            return self._paths(self._overrides(self._intern(p)))
+        except DivergenceError as exc:
+            self._in_paths(exc)
+            raise
+
+    def bases(self, p: Path) -> frozenset[Path]:
+        try:
+            return self._paths(self._bases(self._intern(p)))
+        except DivergenceError as exc:
+            self._in_paths(exc)
+            raise
+
+    def resolve(
+        self, p_site: Path, p_def: Path, n: int, downs: tuple[str, ...]
+    ) -> frozenset[Path]:
+        site, p_def = self._intern(p_site), self._intern(p_def)
+        try:
+            return self._paths(self._resolve(site, p_def, n, downs))
+        except DivergenceError as exc:
+            self._in_paths(exc)
+            raise
+
+    def this(self, S: frozenset[Path], p_def: Path, n: int) -> frozenset[Path]:
+        S, p_def = frozenset(map(self._intern, S)), self._intern(p_def)
+        try:
+            return self._paths(self._this(S, p_def, n))
+        except DivergenceError as exc:
+            self._in_paths(exc)
+            raise
 
     # -- observation helpers -------------------------------------------------
 
     def ancestors(self, p: Path) -> frozenset[Path]:
         """Override components of supers(p): every path p inherits from."""
-        return frozenset(p_override for _, p_override in self.supers(p))
+        try:
+            pairs = self._supers(self._intern(p))
+        except DivergenceError as exc:
+            self._in_paths(exc)
+            raise
+        return frozenset(self._path[p_override] for _, p_override in pairs)
 
     def observe(
         self, p: Path, depth: int, record_divergence: bool = False

@@ -115,6 +115,18 @@ def _kind(token: str) -> str:
     return _KIND.get(token) or _KIND[token[0]]
 
 
+# The parser tests a token's kind without ``_kind``, which names kinds in
+# error messages: a fixed-text kind by its text, ``ident`` and ``nat`` by
+# ``str`` methods that hold for exactly those of the tokenizer's tokens
+# (``this@`` is no identifier).
+_IS_KIND = {
+    "lb": "{".__eq__,
+    "rb": "}".__eq__,
+    "ident": str.isidentifier,
+    "nat": str.isdigit,
+}
+
+
 def _tokenize(source: str) -> list[str]:
     """Token texts, ending with ``""`` for the end of input."""
     tokens = list(filter(None, _TOKEN_RE.findall(source)))
@@ -154,7 +166,7 @@ class _Parser:
 
     def expect(self, kind: str) -> str:
         token = self.tokens[self.i]
-        if _kind(token) != kind:
+        if not _IS_KIND[kind](token):
             self.error(f"expected {kind}, found {_kind(token)}")
         self.i += 1
         return token
@@ -186,7 +198,7 @@ class _Parser:
 
     def parse_element(self, p: Path, entry) -> None:
         tokens, i = self.tokens, self.i
-        if _kind(tokens[i]) == "ident" and tokens[i + 1] == "=":
+        if tokens[i].isidentifier() and tokens[i + 1] == "=":
             self.i = i + 2
             entry[0][tokens[i]] = None
             child = p + (tokens[i],)
@@ -208,7 +220,7 @@ class _Parser:
             self.i += 1
             n = int(self.expect("nat"))
             return Reference(n, self.parse_downs())
-        if _kind(token) == "ident":
+        if token.isidentifier():
             self.i += 1
             return LexicalRef((token,) + self.parse_downs())
         self.error("expected an element (definition or reference)")

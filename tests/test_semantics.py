@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import properties_struct
-from inhcalc.fixtures import fixture
+from inhcalc.fixtures import fixture, fixture_names
 from inhcalc.semantics import (
     ABOVE_ROOT,
     DEFAULT_FUEL,
@@ -92,6 +92,82 @@ def test_observe_fuel_is_one_per_memo_miss(name):
     ctx = EvalContext(fixture(name).program())
     ctx.observe((), 4, record_divergence=True)
     assert DEFAULT_FUEL - ctx.fuel == _OBSERVE_FUEL[name]
+
+
+# The public method that answers each equation's witness.
+_WITNESS_METHODS = {
+    "properties": "properties",
+    "supers": "supers",
+    "bases*": "bases_star",
+    "overrides": "overrides",
+    "bases": "bases",
+    "resolve": "resolve",
+    "this": "this",
+}
+
+
+def _is_path(p):
+    return isinstance(p, tuple) and all(isinstance(label, str) for label in p)
+
+
+def test_fuel_exhausted_witnesses_are_replayable_paths():
+    # Cutting observe((), 4) short at every seventh fuel unit stops it
+    # inside each of the equations.  The witness sequence itself depends
+    # on set iteration order, so only its form is checked.
+    tags = set()
+    for name in ("p2", "nat", "asymmetry"):
+        prog = fixture(name).program()
+        for fuel in range(0, 401, 7):
+            try:
+                EvalContext(prog, fuel=fuel).observe((), 4)
+                continue
+            except DivergenceError as exc:
+                assert exc.kind == "FuelExhausted"
+                tag, *args = exc.witness
+                assert repr(exc.witness) in str(exc)
+            tags.add(tag)
+            if tag == "this":
+                assert isinstance(args[0], frozenset)
+                assert all(_is_path(p) for p in args[0])
+                assert _is_path(args[1])
+            elif tag == "resolve":
+                assert _is_path(args[0]) and _is_path(args[1])
+                assert _is_path(args[3])
+            else:
+                assert len(args) == 1 and _is_path(args[0])
+            getattr(EvalContext(prog), _WITNESS_METHODS[tag])(*args)
+    assert tags == set(_WITNESS_METHODS)
+
+
+def _answer(method, p):
+    try:
+        return method(p)
+    except DivergenceError as exc:
+        return exc.kind
+    except ScopeUnderflowError:
+        return "underflow"
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_shared_context_answers_like_fresh_ones(name):
+    # One context answers every query in a shuffled order, so its path
+    # ids come from earlier queries; each answer must match a fresh
+    # context's.
+    prog = fixture(name).program()
+    queries = set()
+    for p in prog.paths():
+        queries.add(p)
+        queries.update(p + (label,) for label in prog.defines(p))
+        labels = _answer(EvalContext(prog).properties, p)
+        if isinstance(labels, frozenset):
+            queries.update(p + (label,) for label in labels)
+    queries = sorted(queries)
+    random.Random(7).shuffle(queries)
+    shared = EvalContext(prog)
+    for p in queries:
+        for method in ("properties", "ancestors"):
+            want = _answer(getattr(EvalContext(prog), method), p)
+            assert _answer(getattr(shared, method), p) == want, (method, p)
 
 
 def test_deep_nesting():
