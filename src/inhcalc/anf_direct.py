@@ -65,6 +65,10 @@ class DirectContext:
         self.fuel = fuel
         self.memo: defaultdict = defaultdict(dict)
 
+    def _witness(self, tag: str, *args) -> tuple:
+        """A divergence's witness: the query as it was asked, on paths."""
+        return (tag, *args)
+
     @equation("labels")
     def labels(self, p: Path) -> frozenset[str]:
         out = set()
@@ -142,12 +146,7 @@ class DirectContext:
 
 
 def converges_direct(
-    dp: CoreProgram,
-    fuel: int = DEFAULT_FUEL,
-    max_depth: int = 64,
-    ctx: DirectContext | None = None,
+    dp: CoreProgram, fuel: int = DEFAULT_FUEL, max_depth: int = 64
 ) -> ConvergenceReport:
     """The result-chain scan over the direct engine's ``labels``."""
-    if ctx is None:
-        ctx = DirectContext(dp, fuel=fuel)
-    return _scan_result_chain(ctx.labels, max_depth)
+    return _scan_result_chain(DirectContext(dp, fuel=fuel).labels, max_depth)

@@ -109,15 +109,11 @@ def corpus_terms(max_size: int = MAX_CORPUS_SIZE) -> list[tuple[str, Term]]:
 
 
 def judge(
-    name: str,
-    anf_term: Term,
-    fuel: int = 10_000,
-    max_depth: int = 64,
-    assert_single_path: bool = False,
+    name: str, anf_term: Term, fuel: int = 10_000, max_depth: int = 64
 ) -> Verdict:
     oracle = head_reduce(named_to_oracle(anf_term), fuel)
     prog = translate(anf_term)  # one table, read by both engines
-    ctx = EvalContext(prog, fuel=fuel, assert_single_path=assert_single_path)
+    ctx = EvalContext(prog, fuel=fuel)
     conv = converges(prog, max_depth=max_depth, ctx=ctx)
     direct = converges_direct(prog, fuel=fuel, max_depth=max_depth)
     return Verdict(
@@ -126,15 +122,9 @@ def judge(
 
 
 def sweep(
-    max_size: int = MAX_CORPUS_SIZE,
-    fuel: int = 10_000,
-    max_depth: int = 64,
-    assert_single_path: bool = False,
+    max_size: int = MAX_CORPUS_SIZE, fuel: int = 10_000, max_depth: int = 64
 ) -> list[Verdict]:
-    return [
-        judge(name, t, fuel, max_depth, assert_single_path)
-        for name, t in corpus_terms(max_size)
-    ]
+    return [judge(name, t, fuel, max_depth) for name, t in corpus_terms(max_size)]
 
 
 def summarize(verdicts: list[Verdict]) -> dict:

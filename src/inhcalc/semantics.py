@@ -81,8 +81,9 @@ def equation(tag: str):
     argument bare).  A miss spends one unit of fuel.  While the body runs,
     its entry holds ``None``, so re-entering the same query raises
     ``Divergence(Cycle)``; results are never ``None``.  A body that raises
-    leaves no entry, so a re-query reaches the same verdict.  Divergence
-    witnesses are ``(tag, *args)``.
+    leaves no entry, so a re-query reaches the same verdict.  A divergence's
+    witness is what the instance's ``_witness(tag, *args)`` makes of the
+    query; the kernel calls it only to raise.
     """
 
     def decorate(body):
@@ -94,9 +95,9 @@ def equation(tag: str):
                 if value is not None:
                     return value
                 if arg in memo:
-                    raise DivergenceError("Cycle", (tag, arg))
+                    raise DivergenceError("Cycle", self._witness(tag, arg))
                 if self.fuel <= 0:
-                    raise DivergenceError("FuelExhausted", (tag, arg))
+                    raise DivergenceError("FuelExhausted", self._witness(tag, arg))
                 self.fuel -= 1
                 memo[arg] = None
                 try:
@@ -115,9 +116,9 @@ def equation(tag: str):
                 if value is not None:
                     return value
                 if args in memo:
-                    raise DivergenceError("Cycle", (tag, *args))
+                    raise DivergenceError("Cycle", self._witness(tag, *args))
                 if self.fuel <= 0:
-                    raise DivergenceError("FuelExhausted", (tag, *args))
+                    raise DivergenceError("FuelExhausted", self._witness(tag, *args))
                 self.fuel -= 1
                 memo[args] = None
                 try:
@@ -139,21 +140,17 @@ class EvalContext:
     The equations run on path ids: each path they meet is interned once,
     as a node of a (parent, label) trie that the context owns, so a memo
     key hashes in O(1) and a step to a known parent or child allocates
-    nothing.  The public methods take and return paths.
+    nothing.  The public methods intern their arguments and map their
+    results back to paths; a divergence is path-valued where it is raised,
+    by ``_witness``, the one place that turns ids into paths on the way out.
 
     A context is single-threaded; create one context per evaluation.
     Results are immutable frozensets, safe to share once computed.
     """
 
-    def __init__(
-        self,
-        program: CoreProgram,
-        fuel: int = DEFAULT_FUEL,
-        assert_single_path: bool = False,
-    ):
+    def __init__(self, program: CoreProgram, fuel: int = DEFAULT_FUEL):
         self.program = program
         self.fuel = fuel
-        self.assert_single_path = assert_single_path
         self.single_path_violations: list[SinglePathViolation] = []
         self.memo: defaultdict = defaultdict(dict)
         # The trie: per id, its path, parent id, children by label and
@@ -161,11 +158,16 @@ class EvalContext:
         self._path: list[Path] = [ROOT]
         self._parent: list = [ABOVE_ROOT]
         self._kids: list[dict[str, int]] = [{}]
-        self._node: list[Node] = [program.nodes.get(ROOT, _NO_NODE)]
-        # label -> the override ids of supers(p) that define that label,
-        # once per base that reaches them.  Every run of supers(p) writes
-        # it, so it is there after a call even when the memo forgets.
-        self._members: dict[int, dict[str, list[int]]] = {}
+        self._node: list[Node] = [self._node_at(ROOT)]
+
+    def _node_at(self, p: Path) -> Node:
+        """The node of ``p``, its references sorted when it has several, so
+        that the order ``bases`` follows them in, and with it the fuel
+        spent before an error, does not depend on the hash seed."""
+        node = self.program.nodes.get(p, _NO_NODE)
+        if len(node.inherits) > 1:
+            return Node(node.defines, tuple(sorted(node.inherits)))
+        return node
 
     def _add_child(self, i: int, label: str) -> int:
         """Intern the child ``label`` of id ``i``.  Callers look a known
@@ -176,7 +178,7 @@ class EvalContext:
         self._path.append(p)
         self._parent.append(i)
         self._kids.append({})
-        self._node.append(self.program.nodes.get(p, _NO_NODE))
+        self._node.append(self._node_at(p))
         return j
 
     def _intern(self, p: Path) -> int:
@@ -185,29 +187,30 @@ class EvalContext:
             i = kids[i].get(label) or self._add_child(i, label)
         return i
 
-    def _in_paths(self, exc: DivergenceError) -> None:
-        """Give the divergence the path-valued witness its ids stand for."""
-        tag, *ids = exc.witness
-        # resolve and this take two ids (this's first is a set of ids)
-        k = 2 if tag in ("resolve", "this") else 1
-        exc.witness = (tag, *map(self._paths, ids[:k]), *ids[k:])
-        exc.args = (exc.kind, exc.witness)
-
     def _paths(self, ids):
         """The path of an id, or the paths of a frozenset of ids."""
         if isinstance(ids, frozenset):
             return frozenset(map(self._path.__getitem__, ids))
         return self._path[ids]
 
+    def _witness(self, tag: str, *args) -> tuple:
+        """The path-valued witness of a divergent query on ids."""
+        # resolve and this take two ids (this's first is a set of ids)
+        k = 2 if tag in ("resolve", "this") else 1
+        return (tag, *map(self._paths, args[:k]), *args[k:])
+
     # -- the equations, on path ids -----------------------------------------
 
     @equation("properties")
     def _properties(self, p: int) -> frozenset[str]:
-        self._supers(p)
-        return frozenset(self._members[p])
+        _, members = self._supers(p)
+        return frozenset(members)
 
     @equation("supers")
-    def _supers(self, p: int) -> frozenset:
+    def _supers(self, p: int) -> tuple:
+        """The super pairs of ``p``, with their member index: label -> the
+        override ids of those pairs that define it, once per base that
+        reaches them."""
         parent, node = self._parent, self._node
         pairs = set()
         members = defaultdict(list)
@@ -217,8 +220,7 @@ class EvalContext:
                 pairs.add((context, p_override))
                 for label in node[p_override].defines:
                     members[label].append(p_override)
-        self._members[p] = members
-        return frozenset(pairs)
+        return frozenset(pairs), members
 
     @equation("bases*")
     def _bases_star(self, p: int) -> frozenset[int]:
@@ -238,11 +240,10 @@ class EvalContext:
     def _overrides(self, p: int) -> frozenset[int]:
         if p == 0:
             return frozenset({0})
-        parent = self._parent[p]
-        self._supers(parent)
+        _, members = self._supers(self._parent[p])
         label, kids = self._path[p][-1], self._kids
         out = {p}
-        for q in self._members[parent].get(label, ()):
+        for q in members.get(label, ()):
             out.add(kids[q].get(label) or self._add_child(q, label))
         return frozenset(out)
 
@@ -278,7 +279,7 @@ class EvalContext:
     def _this(self, S: frozenset[int], p_def: int, n: int) -> frozenset[int]:
         if n == 0:
             return S
-        if self.assert_single_path and len(S) != 1:
+        if len(S) != 1:
             self.single_path_violations.append(
                 SinglePathViolation(self._paths(S), self._path[p_def], n)
             )
@@ -286,28 +287,19 @@ class EvalContext:
             raise ScopeUnderflowError(f"this step above the root (n={n} remaining)")
         frontier = set()
         for current in S:
-            for p_site, p_override in self._supers(current):
+            for p_site, p_override in self._supers(current)[0]:
                 if p_override == p_def:
                     assert p_site is not ABOVE_ROOT, "AboveRoot matched a this step"
                     frontier.add(p_site)
         return self._this(frozenset(frontier), self._parent[p_def], n - 1)
 
     # -- the equations, on paths ----------------------------------------------
-    # Each converts at the boundary, divergence witnesses included.
 
     def properties(self, p: Path) -> frozenset[str]:
-        try:
-            return self._properties(self._intern(p))
-        except DivergenceError as exc:
-            self._in_paths(exc)
-            raise
+        return self._properties(self._intern(p))
 
     def supers(self, p: Path) -> frozenset:
-        try:
-            pairs = self._supers(self._intern(p))
-        except DivergenceError as exc:
-            self._in_paths(exc)
-            raise
+        pairs, _ = self._supers(self._intern(p))
         path = self._path
         return frozenset(
             (context if context is ABOVE_ROOT else path[context], path[p_override])
@@ -315,53 +307,29 @@ class EvalContext:
         )
 
     def bases_star(self, p: Path) -> frozenset[Path]:
-        try:
-            return self._paths(self._bases_star(self._intern(p)))
-        except DivergenceError as exc:
-            self._in_paths(exc)
-            raise
+        return self._paths(self._bases_star(self._intern(p)))
 
     def overrides(self, p: Path) -> frozenset[Path]:
-        try:
-            return self._paths(self._overrides(self._intern(p)))
-        except DivergenceError as exc:
-            self._in_paths(exc)
-            raise
+        return self._paths(self._overrides(self._intern(p)))
 
     def bases(self, p: Path) -> frozenset[Path]:
-        try:
-            return self._paths(self._bases(self._intern(p)))
-        except DivergenceError as exc:
-            self._in_paths(exc)
-            raise
+        return self._paths(self._bases(self._intern(p)))
 
     def resolve(
         self, p_site: Path, p_def: Path, n: int, downs: tuple[str, ...]
     ) -> frozenset[Path]:
         site, p_def = self._intern(p_site), self._intern(p_def)
-        try:
-            return self._paths(self._resolve(site, p_def, n, downs))
-        except DivergenceError as exc:
-            self._in_paths(exc)
-            raise
+        return self._paths(self._resolve(site, p_def, n, downs))
 
     def this(self, S: frozenset[Path], p_def: Path, n: int) -> frozenset[Path]:
         S, p_def = frozenset(map(self._intern, S)), self._intern(p_def)
-        try:
-            return self._paths(self._this(S, p_def, n))
-        except DivergenceError as exc:
-            self._in_paths(exc)
-            raise
+        return self._paths(self._this(S, p_def, n))
 
     # -- observation helpers -------------------------------------------------
 
     def ancestors(self, p: Path) -> frozenset[Path]:
         """Override components of supers(p): every path p inherits from."""
-        try:
-            pairs = self._supers(self._intern(p))
-        except DivergenceError as exc:
-            self._in_paths(exc)
-            raise
+        pairs, _ = self._supers(self._intern(p))
         return frozenset(self._path[p_override] for _, p_override in pairs)
 
     def observe(

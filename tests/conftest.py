@@ -17,6 +17,10 @@ def ref_str(ref) -> str:
     return ".".join(ref.downs)  # LexicalRef
 
 
+def is_path(p) -> bool:
+    return isinstance(p, tuple) and all(isinstance(label, str) for label in p)
+
+
 def mutated_text(table, rng: random.Random, dup: float = 0.25, p=ROOT) -> str:
     """Surface text of the record at ``p`` of the path table ``table``
     (as ``parse`` writes it) with elements shuffled and randomly

@@ -41,7 +41,7 @@ def _nat_context() -> EvalContext:
 
 @functools.lru_cache(maxsize=None)
 def _sweep():
-    return sweep(fuel=10_000, assert_single_path=True)
+    return sweep(fuel=10_000)
 
 
 ZERO = parse_path("NatData.NatFactory.Zero")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import labels_struct, properties_struct
+from conftest import is_path, labels_struct, properties_struct
 from inhcalc.anf_direct import (
     DirectContext,
     converges_direct,
@@ -113,3 +113,31 @@ def test_labels_match_properties_on_sample():
         general = EvalContext(translate(anf), fuel=20_000)
         direct = DirectContext(extract(anf), fuel=20_000)
         assert properties_struct(general, (), 3) == labels_struct(direct, (), 3)
+
+
+def test_fuel_exhausted_witnesses_are_path_queries():
+    # Cutting the result-chain scan short at every third fuel unit stops
+    # it inside each of the direct equations; the witness is the query
+    # as asked, on paths.
+    tags = set()
+    for name in ("omega", "S", "eq"):
+        prog = extract(anf_transform(NAMED_TERMS[name]))
+        for fuel in range(0, 120, 3):
+            ctx = DirectContext(prog, fuel=fuel)
+            try:
+                for n in range(8):
+                    ctx.labels(("result",) * n)
+                continue
+            except DivergenceError as exc:
+                assert exc.kind == "FuelExhausted"
+                assert exc.args == (exc.kind, exc.witness)
+                assert repr(exc.witness) in str(exc)
+                tag, *args = exc.witness
+            tags.add(tag)
+            if tag == "scope":
+                p_site, p_def, n = args
+                assert is_path(p_site) and is_path(p_def)
+                assert isinstance(n, int)
+            else:
+                assert len(args) == 1 and is_path(args[0])
+    assert tags == {"labels", "grafts", "callee*", "callee", "scope", "callee_ctx"}

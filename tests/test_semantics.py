@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import properties_struct
+from conftest import is_path, properties_struct
 from inhcalc.fixtures import fixture, fixture_names
 from inhcalc.semantics import (
     ABOVE_ROOT,
@@ -106,11 +106,8 @@ _WITNESS_METHODS = {
 }
 
 
-def _is_path(p):
-    return isinstance(p, tuple) and all(isinstance(label, str) for label in p)
-
-
-def test_fuel_exhausted_witnesses_are_replayable_paths():
+@pytest.mark.parametrize("engine", [EvalContext, NaiveEvaluator])
+def test_fuel_exhausted_witnesses_are_replayable_paths(engine):
     # Cutting observe((), 4) short at every seventh fuel unit stops it
     # inside each of the equations.  The witness sequence itself depends
     # on set iteration order, so only its form is checked.
@@ -119,22 +116,23 @@ def test_fuel_exhausted_witnesses_are_replayable_paths():
         prog = fixture(name).program()
         for fuel in range(0, 401, 7):
             try:
-                EvalContext(prog, fuel=fuel).observe((), 4)
+                engine(prog, fuel=fuel).observe((), 4)
                 continue
             except DivergenceError as exc:
                 assert exc.kind == "FuelExhausted"
+                assert exc.args == (exc.kind, exc.witness)
                 tag, *args = exc.witness
                 assert repr(exc.witness) in str(exc)
             tags.add(tag)
             if tag == "this":
                 assert isinstance(args[0], frozenset)
-                assert all(_is_path(p) for p in args[0])
-                assert _is_path(args[1])
+                assert all(is_path(p) for p in args[0])
+                assert is_path(args[1])
             elif tag == "resolve":
-                assert _is_path(args[0]) and _is_path(args[1])
-                assert _is_path(args[3])
+                assert is_path(args[0]) and is_path(args[1])
+                assert is_path(args[3])
             else:
-                assert len(args) == 1 and _is_path(args[0])
+                assert len(args) == 1 and is_path(args[0])
             getattr(EvalContext(prog), _WITNESS_METHODS[tag])(*args)
     assert tags == set(_WITNESS_METHODS)
 
@@ -177,6 +175,18 @@ def test_deep_nesting():
     d = 75
     prog = parse_program("{A = " + "{a = " * d + "{}" + "}" * d + ", B = {A}}")
     assert EvalContext(prog).properties(("B",) + ("a",) * (d - 1)) == {"a"}
+
+
+def test_fuel_before_an_underflow_does_not_follow_the_hash_seed():
+    # a has two references, and ^2.c underflows: the fuel spent before
+    # the error is the same whichever the hash seed, because the
+    # references are followed in sorted order
+    prog = parse_program("{a = {c = {}, b = {}, ^2.c, ^0}, c = {}}")
+    for engine, spent in ((EvalContext, 13), (NaiveEvaluator, 14)):
+        ctx = engine(prog, fuel=20_000)
+        with pytest.raises(ScopeUnderflowError):
+            ctx.properties(("a",))
+        assert 20_000 - ctx.fuel == spent, engine.__name__
 
 
 def test_fuel_exhaustion():
