@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .lam import (
+    DEFAULT_MAX_DEPTH,
     ConvergenceReport,
     FreeVariableError,
     SyntheticNameCollision,
@@ -65,9 +66,9 @@ class DirectContext:
         self.fuel = fuel
         self.memo: defaultdict = defaultdict(dict)
 
-    def _witness(self, tag: str, *args) -> tuple:
+    def _witness(self, tag: str, key) -> tuple:
         """A divergence's witness: the query as it was asked, on paths."""
-        return (tag, *args)
+        return (tag, *key) if tag == "scope" else (tag, key)
 
     @equation("labels")
     def labels(self, p: Path) -> frozenset[str]:
@@ -114,12 +115,13 @@ class DirectContext:
                     raise ScopeUnderflowError(
                         "a reference at the root has no enclosing scope"
                     )
-                target = self.scope(p[:-1], p_graft[:-1], ref.n)
+                target = self.scope((p[:-1], p_graft[:-1], ref.n))
                 out.add(target + ref.downs)
         return frozenset(out)
 
     @equation("scope")
-    def scope(self, p_site: Path, p_def: Path, n: int) -> Path:
+    def scope(self, key: tuple) -> Path:
+        p_site, p_def, n = key
         if n == 0:
             return p_site
         if p_def == ROOT:
@@ -133,7 +135,7 @@ class DirectContext:
             raise AmbiguousCaller(p_site, p_def, callers)
         (caller,) = callers
         assert caller is not ABOVE_ROOT
-        return self.scope(caller, p_def[:-1], n - 1)
+        return self.scope((caller, p_def[:-1], n - 1))
 
     @equation("callee_ctx")
     def callee_ctx(self, p: Path) -> frozenset:
@@ -146,7 +148,7 @@ class DirectContext:
 
 
 def converges_direct(
-    dp: CoreProgram, fuel: int = DEFAULT_FUEL, max_depth: int = 64
+    dp: CoreProgram, fuel: int = DEFAULT_FUEL, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> ConvergenceReport:
     """The result-chain scan over the direct engine's ``labels``."""
     return _scan_result_chain(DirectContext(dp, fuel=fuel).labels, max_depth)

@@ -13,6 +13,7 @@ from .anf_direct import (
     extract,  # noqa: F401  (bench/layers.py traces corpus.extract)
 )
 from .lam import (
+    DEFAULT_MAX_DEPTH,
     ConvergenceReport,
     HeadResult,
     NAMED_TERMS,
@@ -109,7 +110,7 @@ def corpus_terms(max_size: int = MAX_CORPUS_SIZE) -> list[tuple[str, Term]]:
 
 
 def judge(
-    name: str, anf_term: Term, fuel: int = 10_000, max_depth: int = 64
+    name: str, anf_term: Term, fuel: int = 10_000, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> Verdict:
     oracle = head_reduce(named_to_oracle(anf_term), fuel)
     prog = translate(anf_term)  # one table, read by both engines
@@ -122,7 +123,7 @@ def judge(
 
 
 def sweep(
-    max_size: int = MAX_CORPUS_SIZE, fuel: int = 10_000, max_depth: int = 64
+    max_size: int = MAX_CORPUS_SIZE, fuel: int = 10_000, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> list[Verdict]:
     return [judge(name, t, fuel, max_depth) for name, t in corpus_terms(max_size)]
 

@@ -502,7 +502,8 @@ def converges(
     base_path: Path = (),
     ctx: EvalContext | None = None,
 ) -> ConvergenceReport:
-    """The result-chain scan over the general engine's ``properties``."""
+    """The result-chain scan over the general engine's ``properties``.  A
+    given ``ctx`` is evaluated as is, so ``prog`` and ``fuel`` are then unread."""
     if ctx is None:
         ctx = EvalContext(prog, fuel=fuel)
     return _scan_result_chain(ctx.properties, max_depth, base_path)

@@ -46,6 +46,9 @@ class _AboveRoot:
     def __lt__(self, other):  # sorts before every real path
         return other is not self
 
+    def __gt__(self, other):  # a real path's reflected __lt__
+        return False
+
 
 ABOVE_ROOT = _AboveRoot()
 
@@ -76,58 +79,36 @@ class SinglePathViolation:
 def equation(tag: str):
     """Make a method one memoized equation of a demand-driven evaluator.
 
-    The instance keeps ``fuel`` and ``memo``, a ``defaultdict(dict)`` that
-    holds one table per equation, keyed by the call's arguments (a single
-    argument bare).  A miss spends one unit of fuel.  While the body runs,
-    its entry holds ``None``, so re-entering the same query raises
-    ``Divergence(Cycle)``; results are never ``None``.  A body that raises
-    leaves no entry, so a re-query reaches the same verdict.  A divergence's
-    witness is what the instance's ``_witness(tag, *args)`` makes of the
-    query; the kernel calls it only to raise.
+    Every equation takes one hashable key per query: its only argument, or
+    the tuple of its arguments, which the body unpacks.  The instance keeps
+    ``fuel`` and ``memo``, a ``defaultdict(dict)`` that holds one table per
+    equation, keyed by that key.  A miss spends one unit of fuel.  While the
+    body runs, its entry holds ``None``, so re-entering the same query
+    raises ``Divergence(Cycle)``; results are never ``None``.  A body that
+    raises leaves no entry, so a re-query reaches the same verdict.  A
+    divergence's witness is what the instance's ``_witness(tag, key)``
+    makes of the query; the kernel calls it only to raise.
     """
 
     def decorate(body):
-        if body.__code__.co_argcount == 2:
-
-            def run(self, arg):
-                memo = self.memo[tag]
-                value = memo.get(arg)
-                if value is not None:
-                    return value
-                if arg in memo:
-                    raise DivergenceError("Cycle", self._witness(tag, arg))
-                if self.fuel <= 0:
-                    raise DivergenceError("FuelExhausted", self._witness(tag, arg))
-                self.fuel -= 1
-                memo[arg] = None
-                try:
-                    value = body(self, arg)
-                except BaseException:
-                    del memo[arg]
-                    raise
-                memo[arg] = value
+        def run(self, key):
+            memo = self.memo[tag]
+            value = memo.get(key)
+            if value is not None:
                 return value
-
-        else:
-
-            def run(self, *args):
-                memo = self.memo[tag]
-                value = memo.get(args)
-                if value is not None:
-                    return value
-                if args in memo:
-                    raise DivergenceError("Cycle", self._witness(tag, *args))
-                if self.fuel <= 0:
-                    raise DivergenceError("FuelExhausted", self._witness(tag, *args))
-                self.fuel -= 1
-                memo[args] = None
-                try:
-                    value = body(self, *args)
-                except BaseException:
-                    del memo[args]
-                    raise
-                memo[args] = value
-                return value
+            if key in memo:
+                raise DivergenceError("Cycle", self._witness(tag, key))
+            if self.fuel <= 0:
+                raise DivergenceError("FuelExhausted", self._witness(tag, key))
+            self.fuel -= 1
+            memo[key] = None
+            try:
+                value = body(self, key)
+            except BaseException:
+                del memo[key]
+                raise
+            memo[key] = value
+            return value
 
         return functools.wraps(body)(run)
 
@@ -193,11 +174,12 @@ class EvalContext:
             return frozenset(map(self._path.__getitem__, ids))
         return self._path[ids]
 
-    def _witness(self, tag: str, *args) -> tuple:
+    def _witness(self, tag: str, key) -> tuple:
         """The path-valued witness of a divergent query on ids."""
-        # resolve and this take two ids (this's first is a set of ids)
-        k = 2 if tag in ("resolve", "this") else 1
-        return (tag, *map(self._paths, args[:k]), *args[k:])
+        # the keys of resolve and this lead with two ids (this's a set)
+        if tag in ("resolve", "this"):
+            return (tag, *map(self._paths, key[:2]), *key[2:])
+        return (tag, self._paths(key))
 
     # -- the equations, on path ids -----------------------------------------
 
@@ -256,27 +238,27 @@ class EvalContext:
                     raise ScopeUnderflowError(
                         "a reference at the root has no enclosing scope"
                     )
-                out |= self._resolve(self._parent[p], p_override, ref.n, ref.downs)
+                out |= self._resolve((self._parent[p], p_override, ref.n, ref.downs))
         return frozenset(out)
 
     @equation("resolve")
-    def _resolve(
-        self, p_site: int, p_def: int, n: int, downs: tuple[str, ...]
-    ) -> frozenset[int]:
+    def _resolve(self, key: tuple) -> frozenset[int]:
+        p_site, p_def, n, downs = key
         if p_def == 0:
             raise ScopeUnderflowError(
                 "resolve requires a nonempty definition-site path"
             )
         out = set()
         kids = self._kids
-        for current in self._this(frozenset({p_site}), self._parent[p_def], n):
+        for current in self._this((frozenset({p_site}), self._parent[p_def], n)):
             for label in downs:
                 current = kids[current].get(label) or self._add_child(current, label)
             out.add(current)
         return frozenset(out)
 
     @equation("this")
-    def _this(self, S: frozenset[int], p_def: int, n: int) -> frozenset[int]:
+    def _this(self, key: tuple) -> frozenset[int]:
+        S, p_def, n = key
         if n == 0:
             return S
         if len(S) != 1:
@@ -291,7 +273,7 @@ class EvalContext:
                 if p_override == p_def:
                     assert p_site is not ABOVE_ROOT, "AboveRoot matched a this step"
                     frontier.add(p_site)
-        return self._this(frozenset(frontier), self._parent[p_def], n - 1)
+        return self._this((frozenset(frontier), self._parent[p_def], n - 1))
 
     # -- the equations, on paths ----------------------------------------------
 
@@ -319,11 +301,11 @@ class EvalContext:
         self, p_site: Path, p_def: Path, n: int, downs: tuple[str, ...]
     ) -> frozenset[Path]:
         site, p_def = self._intern(p_site), self._intern(p_def)
-        return self._paths(self._resolve(site, p_def, n, downs))
+        return self._paths(self._resolve((site, p_def, n, downs)))
 
     def this(self, S: frozenset[Path], p_def: Path, n: int) -> frozenset[Path]:
         S, p_def = frozenset(map(self._intern, S)), self._intern(p_def)
-        return self._paths(self._this(S, p_def, n))
+        return self._paths(self._this((S, p_def, n)))
 
     # -- observation helpers -------------------------------------------------
 

@@ -45,6 +45,15 @@ def test_root_supers_uses_above_root_sentinel():
     assert ctx.properties(()) == {"a"}
 
 
+def test_above_root_sorts_before_every_real_path():
+    assert sorted([ABOVE_ROOT, ("a",)]) == [ABOVE_ROOT, ("a",)]
+    assert sorted([("a",), ABOVE_ROOT]) == [ABOVE_ROOT, ("a",)]
+    # the root-context pair sorts first whatever the set's iteration order
+    pairs = [(ABOVE_ROOT, ()), ((), ("a",))]
+    assert EvalContext(parse_program("{a = {^0}}")).supers(("a",)) == set(pairs)
+    assert sorted(pairs) == sorted(pairs[::-1]) == pairs
+
+
 def test_self_inheritance_infinite_tree():
     ctx = EvalContext(parse_program("{a = {^0}}"))
     tree = ctx.observe((), 3)
