@@ -8,13 +8,14 @@ the six general equations.  ``scope`` is single-valued: on images of the
 translation the caller at each upward step is unique, and a violation
 raises AmbiguousCaller.
 
-The divergence machinery (memo tables, in-flight cycle markers, fuel) is
-the general evaluator's ``equation`` kernel.
+The machinery is shared: the direct equations run on the interned path
+ids of the general evaluator's trie (``semantics.InternedContext``), under
+its ``equation`` kernel (memo tables, in-flight cycle markers, fuel).
+Only ``labels`` is public; it takes a path, and a divergence's witness is
+the query as asked, on paths.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from .lam import (
     DEFAULT_MAX_DEPTH,
@@ -28,10 +29,11 @@ from .lam import (
 from .semantics import (
     ABOVE_ROOT,
     DEFAULT_FUEL,
+    InternedContext,
     ScopeUnderflowError,
     equation,
 )
-from .syntax import ROOT, CoreProgram, Path
+from .syntax import CoreProgram, Path
 
 
 class AmbiguousCaller(Exception):
@@ -58,91 +60,95 @@ def extract(t: Term) -> CoreProgram:
 # The direct equations
 # ---------------------------------------------------------------------------
 
-class DirectContext:
-    """Memoized demand-driven evaluation of the direct ANF equations."""
+class DirectContext(InternedContext):
+    """Memoized demand-driven evaluation of the direct ANF equations, run
+    on the interned path ids of the shared trie."""
 
-    def __init__(self, program: CoreProgram, fuel: int = DEFAULT_FUEL):
-        self.program = program
-        self.fuel = fuel
-        self.memo: defaultdict = defaultdict(dict)
-
-    def _witness(self, tag: str, key) -> tuple:
-        """A divergence's witness: the query as it was asked, on paths."""
-        return (tag, *key) if tag == "scope" else (tag, key)
+    def labels(self, p: Path) -> frozenset[str]:
+        return self._labels(self._intern(p))
 
     @equation("labels")
-    def labels(self, p: Path) -> frozenset[str]:
+    def _labels(self, p: int) -> frozenset[str]:
+        node = self._node
         out = set()
-        for p_step in self.callee_star(p):
-            for p_graft in self.grafts(p_step):
-                out |= self.program.defines(p_graft)
+        for p_step in self._callee_star(p):
+            for p_graft in self._grafts(p_step):
+                out |= node[p_graft].defines
         return frozenset(out)
 
     @equation("grafts")
-    def grafts(self, p: Path) -> frozenset[Path]:
-        if p == ROOT:
-            return frozenset({ROOT})
+    def _grafts(self, p: int) -> frozenset[int]:
+        if p == 0:
+            return frozenset({0})
+        node = self._node
         out = {p}
-        last = p[-1]
+        last = self._path[p][-1]
         # A graft position of p is any graft of any transitive callee
         # of the parent that locally defines last(p), mirroring how an
         # override of a path arises from any override of any base of
         # the parent.
-        for p_step in self.callee_star(p[:-1]):
-            for p_graft in self.grafts(p_step):
-                if last in self.program.defines(p_graft):
-                    out.add(p_graft + (last,))
+        for p_step in self._callee_star(self._parent[p]):
+            for p_graft in self._grafts(p_step):
+                if last in node[p_graft].defines:
+                    out.add(self._child(p_graft, last))
         return frozenset(out)
 
     @equation("callee*")
-    def callee_star(self, p: Path) -> frozenset[Path]:
+    def _callee_star(self, p: int) -> frozenset[int]:
         seen = {p}
         work = [p]
         while work:
             q = work.pop()
-            for c in self.callee(q):
+            for c in self._callee(q):
                 if c not in seen:
                     seen.add(c)
                     work.append(c)
         return frozenset(seen)
 
     @equation("callee")
-    def callee(self, p: Path) -> frozenset[Path]:
+    def _callee(self, p: int) -> frozenset[int]:
+        parent, node = self._parent, self._node
         out = set()
-        for p_graft in self.grafts(p):
-            for ref in self.program.inherits(p_graft):
-                if p == ROOT:
+        for p_graft in self._grafts(p):
+            for ref in node[p_graft].inherits:
+                if p == 0:
                     raise ScopeUnderflowError(
                         "a reference at the root has no enclosing scope"
                     )
-                target = self.scope((p[:-1], p_graft[:-1], ref.n))
-                out.add(target + ref.downs)
+                target = self._scope((parent[p], parent[p_graft], ref.n))
+                for label in ref.downs:
+                    target = self._child(target, label)
+                out.add(target)
         return frozenset(out)
 
     @equation("scope")
-    def scope(self, key: tuple) -> Path:
+    def _scope(self, key: tuple) -> int:
         p_site, p_def, n = key
         if n == 0:
             return p_site
-        if p_def == ROOT:
+        if p_def == 0:
             raise ScopeUnderflowError(f"scope step above the root (n={n} remaining)")
         callers = {
             context
-            for context, p_graft in self.callee_ctx(p_site)
+            for context, p_graft in self._callee_ctx(p_site)
             if p_graft == p_def
         }
         if len(callers) != 1:
-            raise AmbiguousCaller(p_site, p_def, callers)
+            path = self._path
+            raise AmbiguousCaller(
+                path[p_site], path[p_def], {path[c] for c in callers}
+            )
         (caller,) = callers
         assert caller is not ABOVE_ROOT
-        return self.scope((caller, p_def[:-1], n - 1))
+        return self._scope((caller, self._parent[p_def], n - 1))
 
     @equation("callee_ctx")
-    def callee_ctx(self, p: Path) -> frozenset:
+    def _callee_ctx(self, p: int) -> frozenset:
+        parent = self._parent
         pairs = set()
-        for p_step in self.callee_star(p):
-            context = ABOVE_ROOT if p_step == ROOT else p_step[:-1]
-            for p_graft in self.grafts(p_step):
+        for p_step in self._callee_star(p):
+            context = parent[p_step]
+            for p_graft in self._grafts(p_step):
                 pairs.add((context, p_graft))
         return frozenset(pairs)
 

@@ -13,6 +13,7 @@ Contains four independent pieces:
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 
 from .semantics import (
@@ -116,28 +117,27 @@ def term_text(t: Term) -> str:
 # Parser: \x. M, left-associative juxtaposition, let x = M in N, parens
 # ---------------------------------------------------------------------------
 
-_LAM_TOKEN_RE = re.compile(
-    r"\s+|(?P<lam>\\|λ)|(?P<lp>\()|(?P<rp>\))|(?P<dot>\.)|(?P<eq>=)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-)
+# One match per token or whitespace run; only tokens fill the group.  The
+# last alternative takes everything from an unexpected character to the
+# end of the input, so only the last token can be one.
+_LAM_TOKEN_RE = re.compile(r"\s+|([\\λ().=]|[A-Za-z_][A-Za-z0-9_]*|[\s\S]+)")
+_LAM_KIND = {
+    "": "eof", "let": "let", "in": "in",
+    "\\": "lam", "λ": "lam", "(": "lp", ")": "rp", ".": "dot", "=": "eq",
+    **dict.fromkeys(string.ascii_letters + "_", "ident"),
+}
 
 
 def _lam_tokens(text: str) -> list[tuple[str, str]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _LAM_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise LambdaParseError(f"unexpected character {text[pos]!r} at {pos}")
-        if m.lastgroup is not None:
-            tok = m.group()
-            if m.lastgroup == "ident" and tok in ("let", "in"):
-                out.append((tok, tok))
-            else:
-                out.append((m.lastgroup, tok))
-        pos = m.end()
-    out.append(("eof", ""))
-    return out
+    """``(kind, text)`` tokens, ending with ``("eof", "")``.  A token's
+    kind comes from its text (``let``, ``in``, punctuation and the end of
+    input) or else from its first character."""
+    tokens = list(filter(None, _LAM_TOKEN_RE.findall(text)))
+    if tokens and tokens[-1][0] not in _LAM_KIND:
+        pos = len(text) - len(tokens[-1])
+        raise LambdaParseError(f"unexpected character {text[pos]!r} at {pos}")
+    tokens.append("")
+    return [(_LAM_KIND.get(tok) or _LAM_KIND[tok[0]], tok) for tok in tokens]
 
 
 class _LamParser:

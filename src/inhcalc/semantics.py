@@ -115,15 +115,16 @@ def equation(tag: str):
     return decorate
 
 
-class EvalContext:
-    """Memoization tables, fuel and interned paths for one program.
+class InternedContext:
+    """A memoized evaluation on interned path ids: the fuel and memo tables
+    that the ``equation`` kernel reads, and the program's paths interned
+    once each, as the nodes of a (parent, label) trie.
 
-    The equations run on path ids: each path they meet is interned once,
-    as a node of a (parent, label) trie that the context owns, so a memo
-    key hashes in O(1) and a step to a known parent or child allocates
-    nothing.  The public methods intern their arguments and map their
-    results back to paths; a divergence is path-valued where it is raised,
-    by ``_witness``, the one place that turns ids into paths on the way out.
+    An id's memo key hashes in O(1), and a step to a known parent or child
+    allocates nothing.  Public methods of a subclass intern their
+    arguments and map their results back to paths; a divergence is
+    path-valued where it is raised, by ``_witness``, the one place that
+    turns ids into paths on the way out.
 
     A context is single-threaded; create one context per evaluation.
     Results are immutable frozensets, safe to share once computed.
@@ -132,10 +133,9 @@ class EvalContext:
     def __init__(self, program: CoreProgram, fuel: int = DEFAULT_FUEL):
         self.program = program
         self.fuel = fuel
-        self.single_path_violations: list[SinglePathViolation] = []
         self.memo: defaultdict = defaultdict(dict)
         # The trie: per id, its path, parent id, children by label and
-        # node; the root is id 0.
+        # node; the root is id 0, and its parent is ABOVE_ROOT.
         self._path: list[Path] = [ROOT]
         self._parent: list = [ABOVE_ROOT]
         self._kids: list[dict[str, int]] = [{}]
@@ -143,7 +143,7 @@ class EvalContext:
 
     def _node_at(self, p: Path) -> Node:
         """The node of ``p``, its references sorted when it has several, so
-        that the order ``bases`` follows them in, and with it the fuel
+        that the order the equations follow them in, and with it the fuel
         spent before an error, does not depend on the hash seed."""
         node = self.program.nodes.get(p, _NO_NODE)
         if len(node.inherits) > 1:
@@ -151,9 +151,7 @@ class EvalContext:
         return node
 
     def _add_child(self, i: int, label: str) -> int:
-        """Intern the child ``label`` of id ``i``.  Callers look a known
-        child up as ``self._kids[i].get(label)`` first: no child is the
-        root, so a known child's id is nonzero."""
+        """Intern the child ``label`` of id ``i``, which has none yet."""
         j = self._kids[i][label] = len(self._path)
         p = self._path[i] + (label,)
         self._path.append(p)
@@ -162,10 +160,15 @@ class EvalContext:
         self._node.append(self._node_at(p))
         return j
 
+    def _child(self, i: int, label: str) -> int:
+        """The id of the child ``label`` of id ``i``.  No child is the
+        root, so a known child's id is nonzero."""
+        return self._kids[i].get(label) or self._add_child(i, label)
+
     def _intern(self, p: Path) -> int:
-        i, kids = 0, self._kids
+        i = 0
         for label in p:
-            i = kids[i].get(label) or self._add_child(i, label)
+            i = self._child(i, label)
         return i
 
     def _paths(self, ids):
@@ -175,11 +178,20 @@ class EvalContext:
         return self._path[ids]
 
     def _witness(self, tag: str, key) -> tuple:
-        """The path-valued witness of a divergent query on ids."""
-        # the keys of resolve and this lead with two ids (this's a set)
-        if tag in ("resolve", "this"):
+        """The path-valued witness of a divergent query on ids.  A key is
+        an id, or a tuple that leads with two ids (or an id set and an id)."""
+        if isinstance(key, tuple):
             return (tag, *map(self._paths, key[:2]), *key[2:])
         return (tag, self._paths(key))
+
+
+class EvalContext(InternedContext):
+    """Memoization tables, fuel and interned paths for one program: the
+    six equations, run on path ids."""
+
+    def __init__(self, program: CoreProgram, fuel: int = DEFAULT_FUEL):
+        super().__init__(program, fuel)
+        self.single_path_violations: list[SinglePathViolation] = []
 
     # -- the equations, on path ids -----------------------------------------
 
@@ -223,10 +235,10 @@ class EvalContext:
         if p == 0:
             return frozenset({0})
         _, members = self._supers(self._parent[p])
-        label, kids = self._path[p][-1], self._kids
+        label = self._path[p][-1]
         out = {p}
         for q in members.get(label, ()):
-            out.add(kids[q].get(label) or self._add_child(q, label))
+            out.add(self._child(q, label))
         return frozenset(out)
 
     @equation("bases")
@@ -249,10 +261,9 @@ class EvalContext:
                 "resolve requires a nonempty definition-site path"
             )
         out = set()
-        kids = self._kids
         for current in self._this((frozenset({p_site}), self._parent[p_def], n)):
             for label in downs:
-                current = kids[current].get(label) or self._add_child(current, label)
+                current = self._child(current, label)
             out.add(current)
         return frozenset(out)
 

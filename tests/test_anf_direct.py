@@ -1,15 +1,18 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import is_path, labels_struct, properties_struct
 from inhcalc.anf_direct import (
+    AmbiguousCaller,
     DirectContext,
     converges_direct,
     extract,
 )
 from inhcalc.corpus import corpus_terms
 from inhcalc.lam import (
+    DEFAULT_MAX_DEPTH,
     NAMED_TERMS,
     Abs,
     App,
@@ -17,11 +20,18 @@ from inhcalc.lam import (
     Var,
     anf_transform,
     converges,
+    _scan_result_chain,
     parse_lambda,
     translate,
 )
 from inhcalc.semantics import DivergenceError, EvalContext
-from inhcalc.syntax import Reference
+from inhcalc.syntax import Reference, parse_program
+
+# sha256 of one "name, converged, depth, reason, fuel left" line per term
+# of corpus_terms(8), scanned by the direct engine at fuel 10,000
+DIRECT_CORPUS_8_FUEL_SHA256 = (
+    "6eec7473d1f9139d387e351d079d40805d5b63065aaed8d05e847502cbc1283c"
+)
 
 # ---------------------------------------------------------------------------
 # Extraction
@@ -104,6 +114,63 @@ def test_direct_agrees_with_general_on_sample():
         if "FuelExhausted" in (a.reason, b.reason):
             continue
         assert (a.converged, a.depth) == (b.converged, b.depth)
+
+
+def test_direct_fuel_pinned_on_corpus():
+    # Fuel left is the count of distinct queries a scan asked, so it
+    # changes with any change to what the equations ask, and it must not
+    # change with the hash seed.
+    rows = []
+    for name, anf in corpus_terms(8):
+        ctx = DirectContext(extract(anf), fuel=10_000)
+        report = _scan_result_chain(ctx.labels, DEFAULT_MAX_DEPTH)
+        rows.append(
+            f"{name}\t{report.converged}\t{report.depth}\t{report.reason}\t{ctx.fuel}"
+        )
+    assert len(rows) == 718
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == DIRECT_CORPUS_8_FUEL_SHA256
+
+
+def identity_chain(k: int) -> str:
+    """``(\\x0. x0) ((\\x1. x1) (... (\\y. y)))``: ``k`` identity redexes."""
+    return "".join(f"(\\x{i}. x{i}) (" for i in range(k)) + "\\y. y" + ")" * k
+
+
+@pytest.mark.parametrize("k", [120, 240])
+def test_deep_identity_chain_converges_at_depth_k(k):
+    anf = anf_transform(parse_lambda(identity_chain(k)))
+    general = converges(translate(anf), max_depth=k + 1)
+    direct = converges_direct(extract(anf), max_depth=k + 1)
+    assert (general.converged, general.depth) == (True, k)
+    assert (direct.converged, direct.depth) == (True, k)
+
+
+def test_scope_step_with_two_callers_raises_ambiguous_caller():
+    # X.b inherits Y.b and Y inherits X, so X.b is a graft of both X.b and
+    # Y.b: the scope step of the reference ^1 in X.b.c finds two callers.
+    prog = parse_program("{X = {b = {Y.b, c = ^1}}, Y = X}")
+    with pytest.raises(AmbiguousCaller) as info:
+        DirectContext(prog, fuel=1_000).labels(("X", "b", "c"))
+    assert info.value.candidates == {("X",), ("Y",)}
+    assert str(info.value) == (
+        "scope step at site ('X', 'b') for definition scope ('X', 'b') "
+        "found 2 caller(s): [('X',), ('Y',)]"
+    )
+
+
+def test_scope_step_with_no_caller_raises_ambiguous_caller():
+    # Every scope query that labels asks has a caller: its definition
+    # scope is a graft of some callee of its site.  So this test asks the
+    # scope equation itself, with a definition scope that Y never calls.
+    ctx = DirectContext(parse_program("{X = {b = {}}, Y = {}}"), fuel=1_000)
+    with pytest.raises(AmbiguousCaller) as info:
+        ctx._scope((ctx._intern(("Y",)), ctx._intern(("X", "b")), 1))
+    assert info.value.candidates == set()
+    assert str(info.value) == (
+        "scope step at site ('Y',) for definition scope ('X', 'b') "
+        "found 0 caller(s): []"
+    )
 
 
 def test_labels_match_properties_on_sample():

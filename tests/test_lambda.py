@@ -18,6 +18,7 @@ from inhcalc.lam import (
     SyntheticNameCollision,
     UNEXPANDED,
     Var,
+    _lam_tokens,
     anf_transform,
     bohm_prefix,
     bohm_text,
@@ -70,6 +71,35 @@ def test_parse_lambda_errors():
     with pytest.raises(FreeVariableError):
         parse_lambda("x y")
     assert parse_lambda("x", allow_free=True) == Var("x")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("#", "unexpected character '#' at 0"),
+        ("\\x. x $", "unexpected character '$' at 6"),
+        ("\\x.\n x ~ y", "unexpected character '~' at 7"),
+        ("(\\x. x) 1", "unexpected character '1' at 8"),
+        ("λx. x·x", "unexpected character '·' at 5"),
+    ],
+)
+def test_parse_lambda_unexpected_character(text, message):
+    with pytest.raises(LambdaParseError) as info:
+        parse_lambda(text)
+    assert str(info.value) == message
+
+
+def test_lambda_tokens_of_every_kind():
+    assert _lam_tokens("let f = λx. x_1 in (\\y.f\ty)") == [
+        ("let", "let"), ("ident", "f"), ("eq", "="), ("lam", "λ"),
+        ("ident", "x"), ("dot", "."), ("ident", "x_1"), ("in", "in"),
+        ("lp", "("), ("lam", "\\"), ("ident", "y"), ("dot", "."),
+        ("ident", "f"), ("ident", "y"), ("rp", ")"), ("eof", ""),
+    ]
+    assert _lam_tokens(" letx inn ") == [
+        ("ident", "letx"), ("ident", "inn"), ("eof", ""),
+    ]
+    assert _lam_tokens("") == [("eof", "")]
 
 
 def test_term_text_round_trip():
