@@ -294,6 +294,56 @@ def test_bohm_prefix_truncation():
     assert all(child is UNEXPANDED for child in node.children)
 
 
+# SHA-256 of "name<TAB>status<TAB>steps" of head_reduce over corpus_terms(9),
+# one line per term, with the steps of "hnf" verdicts only: how many steps
+# a proof of divergence takes depends on the reducer, not on the term.
+CORPUS_9_HEAD_SHA256 = (
+    "a9b92d5a4538abd1f256f0e0c7b047870380b3d08e3e3a4526f18d773d702283"
+)
+
+# SHA-256 of "name<TAB>bohm_text" over corpus_terms(8), one line per term,
+# at Böhm depths 2 and 3.
+CORPUS_8_BOHM_SHA256 = {
+    2: "d4b07ed7e95970844097eaf818215aaf096bf97da7cc74ef0c2514c9f9a9cb4c",
+    3: "b5b649e5b6f156b64b70dac28b5e74d682b23a4d9e7aecd2ea137cc084be0da0",
+}
+
+# SHA-256 of the bohm_text lines at depth 2 of every term of size at most 6
+# with free indices 0 and 1: an open head prints its free index.
+OPEN_6_BOHM_SHA256 = (
+    "874911a2f78424933ab9297bcabcf7dc57f242b18c3a651f18a10363886044de"
+)
+
+
+def test_head_reduce_pinned_on_corpus():
+    rows = []
+    for name, anf in corpus_terms(9):
+        result = head_reduce(named_to_oracle(anf))
+        steps = result.steps if result.status == "hnf" else ""
+        rows.append(f"{name}\t{result.status}\t{steps}")
+    assert len(rows) == 2_633
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == CORPUS_9_HEAD_SHA256
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_bohm_text_pinned_on_corpus(depth):
+    terms = corpus_terms(8)
+    assert len(terms) == 718
+    text = "\n".join(
+        f"{name}\t{bohm_text(bohm_prefix(named_to_oracle(anf), depth))}"
+        for name, anf in terms
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_8_BOHM_SHA256[depth]
+
+
+def test_bohm_text_pinned_on_open_terms():
+    terms = [t for size in range(1, 7) for t in _terms(size, 2)]
+    assert len(terms) == 450
+    text = "\n".join(bohm_text(bohm_prefix(t, 2)) for t in terms)
+    assert hashlib.sha256(text.encode()).hexdigest() == OPEN_6_BOHM_SHA256
+
+
 def test_oracle_named_round_trip():
     for t in enumerate_closed_terms(5):
         assert named_to_oracle(oracle_to_named(t)) == t
