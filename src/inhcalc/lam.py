@@ -6,8 +6,9 @@ Contains four independent pieces:
 * the five-rule translation from ANF terms to inheritance records;
 * the inheritance-convergence check (scan the ``result`` chain for the
   abstraction shape);
-* a self-contained head-reduction / Boehm-prefix oracle on de Bruijn
-  terms that shares no code with the record semantics.
+* a head-reduction / Böhm-prefix oracle on de Bruijn terms that shares no
+  code with the record semantics: one iterative Krivine machine that goes
+  under binders and proves divergence by a repeated state.
 """
 
 from __future__ import annotations
@@ -562,52 +563,9 @@ def oracle_to_named(t: OTerm, depth: int = 0) -> Term:
     return App(oracle_to_named(t[1], depth), oracle_to_named(t[2], depth))
 
 
-def shift(t: OTerm, d: int, cutoff: int = 0) -> OTerm:
-    if t[0] == "var":
-        return o_var(t[1] + d) if t[1] >= cutoff else t
-    if t[0] == "abs":
-        return o_abs(shift(t[1], d, cutoff + 1))
-    return o_app(shift(t[1], d, cutoff), shift(t[2], d, cutoff))
-
-
-def subst(t: OTerm, j: int, s: OTerm) -> OTerm:
-    if t[0] == "var":
-        return s if t[1] == j else t
-    if t[0] == "abs":
-        return o_abs(subst(t[1], j + 1, shift(s, 1)))
-    return o_app(subst(t[1], j, s), subst(t[2], j, s))
-
-
-def beta(body: OTerm, arg: OTerm) -> OTerm:
-    return shift(subst(body, 0, shift(arg, 1)), -1)
-
-
-def head_step(t: OTerm) -> OTerm | None:
-    """One head-reduction step, or None if t is in head normal form."""
-    binders = 0
-    u = t
-    while u[0] == "abs":
-        binders += 1
-        u = u[1]
-    spine: list[OTerm] = []
-    while u[0] == "app":
-        spine.append(u[2])
-        u = u[1]
-    if u[0] == "var":
-        return None
-    # u is an abstraction applied to spine[-1] (the first argument)
-    result = beta(u[1], spine[-1])
-    for a in reversed(spine[:-1]):
-        result = o_app(result, a)
-    for _ in range(binders):
-        result = o_abs(result)
-    return result
-
-
 @dataclass(frozen=True)
 class HeadResult:
     status: str  # "hnf" | "diverged" | "fuel"
-    term: OTerm
     steps: int
 
     @property
@@ -615,36 +573,69 @@ class HeadResult:
         return self.status in ("hnf", "diverged")
 
 
-def head_reduce(t: OTerm, fuel: int = 10_000) -> HeadResult:
-    """Iterate head steps.  Head reduction is deterministic, so revisiting
-    a previously seen term proves divergence (status "diverged")."""
-    seen = {t}
+def _lookup(env, n: int):
+    """The entry of de Bruijn index n in env; free variable m past its end is level -1 - m."""
+    while env is not None:
+        if n == 0:
+            return env[0]
+        n -= 1
+        env = env[1]
+    return -1 - n
+
+
+def _machine(term: OTerm, env, binders: int, fuel: int):
+    """Head-reduce the closure (term, env) on a Krivine machine that goes
+    under a binder with a fresh level when no argument waits for it.
+
+    Environments and the argument stack are (head, tail) cons cells ending
+    in None.  An environment entry is a (term, env) closure or a level: a
+    binder gone under, numbered from ``binders`` on, or a free variable
+    when below 0.  Returns (status, beta-steps, hnf), where hnf is (head
+    index, level count, argument stack).  Cells are interned by the ids of
+    their parts in a table that keeps every part alive, so a state is three
+    ids.  The machine is deterministic and no step reads a level's value,
+    so a state that repeats after a beta-step proves divergence.
+    """
+    cells: dict = {}
+
+    def cons(head, tail):
+        return cells.setdefault((id(head), id(tail)), (head, tail))
+
+    stack = None
     steps = 0
-    while steps < fuel:
-        nt = head_step(t)
-        if nt is None:
-            return HeadResult("hnf", t, steps)
-        steps += 1
-        if nt in seen:
-            return HeadResult("diverged", nt, steps)
-        seen.add(nt)
-        t = nt
-    return HeadResult("fuel", t, steps)
+    seen = set()
+    while True:
+        tag = term[0]
+        if tag == "app":
+            arg = term[2]
+            # a variable argument pushes the entry its environment holds,
+            # not a new closure of it, so Ω's state repeats
+            entry = _lookup(env, arg[1]) if arg[0] == "var" else cons(arg, env)
+            stack = cons(entry, stack)
+            term = term[1]
+        elif tag == "var":
+            entry = _lookup(env, term[1])
+            if isinstance(entry, int):
+                return "hnf", steps, (binders - 1 - entry, binders, stack)
+            term, env = entry
+        elif stack is None:  # no argument waits: go under the binder
+            env, binders, term = cons(binders, env), binders + 1, term[1]
+        elif steps == fuel:
+            return "fuel", steps, None
+        else:  # a beta-step binds the waiting argument
+            steps += 1
+            env, stack, term = cons(stack[0], env), stack[1], term[1]
+            state = (id(term), id(env), id(stack))
+            if state in seen:
+                return "diverged", steps, None
+            seen.add(state)
 
 
-def hnf_decompose(t: OTerm) -> tuple[int, int, list[OTerm]]:
-    """Split an HNF into (binder count, head index, argument list)."""
-    binders = 0
-    while t[0] == "abs":
-        binders += 1
-        t = t[1]
-    args: list[OTerm] = []
-    while t[0] == "app":
-        args.append(t[2])
-        t = t[1]
-    assert t[0] == "var", "not a head normal form"
-    args.reverse()
-    return binders, t[1], args
+def head_reduce(t: OTerm, fuel: int = 10_000) -> HeadResult:
+    """Head-reduce t for at most ``fuel`` beta-steps.  Status "diverged"
+    means a repeated machine state proved that t has no head normal form."""
+    status, steps, _ = _machine(t, None, 0, fuel)
+    return HeadResult(status, steps)
 
 
 # Boehm prefix nodes
@@ -668,15 +659,22 @@ BohmNode = Bottom | HnfNode
 
 
 def bohm_prefix(t: OTerm, depth: int = 2, fuel: int = 10_000) -> BohmNode:
-    result = head_reduce(t, fuel)
-    if result.status != "hnf":
-        return Bottom(proven=result.status == "diverged")
-    binders, head, args = hnf_decompose(result.term)
-    if depth <= 0:
-        children = tuple(UNEXPANDED for _ in args)
-    else:
-        children = tuple(bohm_prefix(a, depth - 1, fuel) for a in args)
-    return HnfNode(binders, head, children)
+    return _bohm((t, None), 0, depth, fuel)
+
+
+def _bohm(entry, binders: int, depth: int, fuel: int) -> BohmNode:
+    """The Böhm prefix of an environment entry under ``binders`` levels."""
+    if isinstance(entry, int):
+        return HnfNode(0, binders - 1 - entry, ())
+    status, _, hnf = _machine(*entry, binders, fuel)
+    if status != "hnf":
+        return Bottom(proven=status == "diverged")
+    head, levels, args = hnf
+    children = []
+    while args is not None:
+        entry, args = args
+        children.append(UNEXPANDED if depth <= 0 else _bohm(entry, levels, depth - 1, fuel))
+    return HnfNode(levels - binders, head, tuple(children))
 
 
 def bohm_text(node: BohmNode, indent: int = 0) -> str:

@@ -274,6 +274,36 @@ def test_head_reduce_proves_omega_divergent():
     assert result.status == "diverged"
 
 
+def test_head_reduce_proves_corpus_t9899_divergent():
+    # The term copies itself under a binder, so no term repeats; the
+    # machine's state does.
+    t = enumerate_closed_terms(10)[9899]
+    assert t == named_to_oracle(parse_lambda(r"(\x. x x) (\x. \y. x x)"))
+    assert head_reduce(t).status == "diverged"
+    assert bohm_text(bohm_prefix(t)) == "bottom"
+
+
+@pytest.mark.parametrize("k", [1_000, 10_000])
+def test_oracle_reduces_long_identity_chains(k):
+    # (\x. x) ((\x. x) (... (\y. y))), built by a loop: the parser and
+    # named_to_oracle still recurse, the machine does not.
+    t = o_abs(o_var(0))
+    for _ in range(k):
+        t = o_app(o_abs(o_var(0)), t)
+    result = head_reduce(t, fuel=2 * k)
+    assert (result.status, result.steps) == ("hnf", k)
+    assert bohm_text(bohm_prefix(t, fuel=2 * k)) == "λ^1. 0"
+    # a head normal form exactly `fuel` steps away is reached
+    assert head_reduce(t, fuel=k).status == "hnf"
+
+
+def test_head_reduce_runs_out_of_fuel_on_a_growing_stack():
+    # every step leaves one more argument waiting, so no state repeats
+    t = named_to_oracle(parse_lambda(r"(\x. x x x) (\x. x x x)"))
+    result = head_reduce(t, fuel=10_000)
+    assert (result.status, result.steps) == ("fuel", 10_000)
+
+
 def test_bohm_prefix_of_true():
     node = bohm_prefix(named_to_oracle(NAMED_TERMS["true"]), depth=1)
     assert isinstance(node, HnfNode)
