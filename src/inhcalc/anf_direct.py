@@ -1,7 +1,7 @@
 """Direct set-theoretic semantics of ANF terms.
 
-The direct engine reads the node table that ``lam.translate`` writes for
-the general engine.  The table is shared; the equations are not.
+The direct engine reads the program that ``lam.translate`` writes for
+the general engine.  The program is shared; the equations are not.
 ``labels``, ``grafts``, ``callee``, ``scope`` and ``callee_ctx`` are
 specialized to images of the translation and written independently of
 the six general equations.  ``scope`` is single-valued: on images of the
@@ -82,7 +82,7 @@ class DirectContext(InternedContext):
             return frozenset({0})
         node = self._node
         out = {p}
-        last = self._path[p][-1]
+        last = self._label[p]
         # A graft position of p is any graft of any transitive callee
         # of the parent that locally defines last(p), mirroring how an
         # override of a path arises from any override of any base of
@@ -134,9 +134,9 @@ class DirectContext(InternedContext):
             if p_graft == p_def
         }
         if len(callers) != 1:
-            path = self._path
+            path = self._paths
             raise AmbiguousCaller(
-                path[p_site], path[p_def], {path[c] for c in callers}
+                path(p_site), path(p_def), {path(c) for c in callers}
             )
         (caller,) = callers
         assert caller is not ABOVE_ROOT

@@ -23,7 +23,6 @@ from .semantics import (
     EvalContext,
 )
 from .syntax import (
-    ROOT,
     CoreProgram,
     Node,
     Path,
@@ -351,16 +350,16 @@ def substitute(t: Term, x: str, v: Term) -> Term:
 # Translation to inheritance records
 # ---------------------------------------------------------------------------
 #
-# One walk over the ANF term writes the core node table.  Every record
-# literal is one scope level, so the level of a node is the length of its
-# path, and a reference stored at a node of level L with index n targets
-# the enclosing node of level L - 1 - n.  A variable bound at level j is
-# read from a node of level L as (L - 1 - j, ("argument",)) when a lambda
-# binds it, and as (L - 1 - j, (name, "result")) when a let binds it.
+# One walk over the ANF term writes the core program's trie, one id per
+# record literal, in the order the walk meets them.  Every record literal
+# is one scope level, so the level of a node is the length of its path,
+# and a reference stored at a node of level L with index n targets the
+# enclosing node of level L - 1 - n.  A variable bound at level j is read
+# from a node of level L as (L - 1 - j, ("argument",)) when a lambda binds
+# it, and as (L - 1 - j, (name, "result")) when a let binds it.
 
 _NOT_ANF = "translate requires an ANF term"
 _ARGUMENT = ("argument",)
-_EMPTY_NODE = Node()
 _LAMBDA_NODE = Node(frozenset({"argument", "result"}))
 _TAIL_NODE = Node(frozenset({"tailCall", "result"}))
 _FORWARD_NODE = Node(inherits=frozenset({Reference(0, ("tailCall", "result"))}))
@@ -368,11 +367,13 @@ _APPLICATION_DEFINES = frozenset(_ARGUMENT)
 
 
 class _Translation:
-    """The node table of one closed ANF term, with the ANF-shape,
+    """The core program of one closed ANF term, with the ANF-shape,
     closed-term and let-name checks made on the way."""
 
     def __init__(self):
-        self.nodes: dict[Path, Node] = {}
+        self.program = CoreProgram()
+        self.node = self.program._node
+        self.add = self.program._add
         # variable in scope -> (binder level, projection that reads it)
         self.scope: dict[str, tuple[int, tuple[str, ...]]] = {}
 
@@ -386,15 +387,16 @@ class _Translation:
             ) from None
         return Reference(level - 1 - j, downs)
 
-    def comp(self, m: Term, p: Path) -> None:
-        """Translate the computation m into the record at path p."""
-        nodes = self.nodes
+    def comp(self, m: Term, i: int, level: int) -> None:
+        """Translate the computation m into the record of id i, at the
+        given level."""
+        node, add = self.node, self.add
         if isinstance(m, Var):
-            nodes[p] = Node(inherits=frozenset({self.ref(m, len(p))}))
+            node[i] = Node(inherits=frozenset({self.ref(m, level)}))
         elif isinstance(m, Abs):
-            nodes[p] = _LAMBDA_NODE
-            nodes[p + _ARGUMENT] = _EMPTY_NODE
-            self.bound(m.param, len(p), _ARGUMENT, m.body, p + ("result",))
+            node[i] = _LAMBDA_NODE
+            add(i, "argument")
+            self.bound(m.param, level, _ARGUMENT, m.body, add(i, "result"))
         elif isinstance(m, Let):
             name = m.name
             if name in SYNTHETIC_LABELS:
@@ -403,29 +405,30 @@ class _Translation:
                 )
             if not isinstance(m.rhs, App):
                 raise ValueError(_NOT_ANF)
-            nodes[p] = Node(frozenset({name, "result"}))
-            self.application(m.rhs, p + (name,))
-            self.bound(name, len(p), (name, "result"), m.body, p + ("result",))
+            node[i] = Node(frozenset({name, "result"}))
+            self.application(m.rhs, add(i, name), level + 1)
+            self.bound(name, level, (name, "result"), m.body, add(i, "result"))
         elif isinstance(m, App):
-            nodes[p] = _TAIL_NODE
-            nodes[p + ("result",)] = _FORWARD_NODE
-            self.application(m, p + ("tailCall",))
+            node[i] = _TAIL_NODE
+            add(i, "result", _FORWARD_NODE)
+            self.application(m, add(i, "tailCall"), level + 1)
         else:
             raise ValueError(_NOT_ANF)
 
-    def bound(self, name: str, level: int, downs: tuple, body: Term, p: Path) -> None:
-        """Translate body at path p with name bound at the given level."""
+    def bound(self, name: str, level: int, downs: tuple, body: Term, i: int) -> None:
+        """Translate body into the record of id i, a child of the binder at
+        the given level, with name bound there."""
         scope = self.scope
         outer = scope.get(name)
         scope[name] = (level, downs)
-        self.comp(body, p)
+        self.comp(body, i, level + 1)
         if outer is None:
             del scope[name]
         else:
             scope[name] = outer
 
-    def application(self, app: App, p: Path) -> None:
-        """The application record { T(V1), argument = T(V2) } at path p.
+    def application(self, app: App, i: int, level: int) -> None:
+        """The application record { T(V1), argument = T(V2) } of id i.
 
         A lambda literal in function position is inlined (set union): its
         record is this record.  The argument counts this record as one
@@ -433,16 +436,16 @@ class _Translation:
         """
         fun, arg = app.fun, app.arg
         if isinstance(fun, Var):
-            callee = frozenset({self.ref(fun, len(p))})
-            self.nodes[p] = Node(_APPLICATION_DEFINES, callee)
+            callee = frozenset({self.ref(fun, level)})
+            self.node[i] = Node(_APPLICATION_DEFINES, callee)
         elif isinstance(fun, Abs):
-            self.nodes[p] = _LAMBDA_NODE
-            self.bound(fun.param, len(p), _ARGUMENT, fun.body, p + ("result",))
+            self.node[i] = _LAMBDA_NODE
+            self.bound(fun.param, level, _ARGUMENT, fun.body, self.add(i, "result"))
         else:
             raise ValueError(_NOT_ANF)
         if not isinstance(arg, (Var, Abs)):
             raise ValueError(_NOT_ANF)
-        self.comp(arg, p + _ARGUMENT)
+        self.comp(arg, self.add(i, "argument"), level + 1)
 
 
 def translate(t: Term) -> CoreProgram:
@@ -453,8 +456,8 @@ def translate(t: Term) -> CoreProgram:
     with several faults raises for the first one the walk meets.
     """
     translation = _Translation()
-    translation.comp(t, ROOT)
-    return CoreProgram(translation.nodes)
+    translation.comp(t, 0, 0)
+    return translation.program
 
 
 def translate_surface(t: Term) -> SurfaceTable:

@@ -4,8 +4,9 @@ The evaluator answers membership queries (``properties``, ``supers``,
 ``overrides``, ``bases``, ``resolve``, ``this``, and ``bases*``, the
 closure of ``bases``) over a CoreProgram by unfolding the mutually
 recursive equations on demand.  The equations run on integer path ids:
-a context interns each path it meets once, in a (parent, label) trie,
-and its public methods take and return paths.  Results are memoized per
+a context adopts the program's (parent, label) trie and interns each
+further path it meets once, and its public methods take and return
+paths.  Results are memoized per
 query key; a query key that re-enters its own in-flight evaluation
 reports ``Divergence(Cycle)``, and a global fuel budget bounds infinite
 acyclic unfoldings with ``Divergence(FuelExhausted)``.
@@ -18,7 +19,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .syntax import CoreProgram, Node, Path, ROOT, path_text
+from .syntax import CoreProgram, Node, Path, path_text
 
 DEFAULT_FUEL = 1_000_000
 
@@ -117,14 +118,17 @@ def equation(tag: str):
 
 class InternedContext:
     """A memoized evaluation on interned path ids: the fuel and memo tables
-    that the ``equation`` kernel reads, and the program's paths interned
-    once each, as the nodes of a (parent, label) trie.
+    that the ``equation`` kernel reads, and a (parent, label) trie of the
+    paths it meets, whose first ids are the program's own.
 
-    An id's memo key hashes in O(1), and a step to a known parent or child
-    allocates nothing.  Public methods of a subclass intern their
-    arguments and map their results back to paths; a divergence is
-    path-valued where it is raised, by ``_witness``, the one place that
-    turns ids into paths on the way out.
+    An id's memo key hashes in O(1), a step to a known parent or child
+    allocates nothing, and interning a path costs one dict lookup per
+    label.  The context copies the program's per-id lists and copies an
+    adopted id's children dict the first time it adds to it, so
+    evaluation never changes the program; a path it adds holds no node.
+    Paths are built only on the way out: public methods of a subclass
+    intern their arguments and map their results back to paths, and a
+    divergence is path-valued where it is raised, by ``_witness``.
 
     A context is single-threaded; create one context per evaluation.
     Results are immutable frozensets, safe to share once computed.
@@ -134,30 +138,25 @@ class InternedContext:
         self.program = program
         self.fuel = fuel
         self.memo: defaultdict = defaultdict(dict)
-        # The trie: per id, its path, parent id, children by label and
-        # node; the root is id 0, and its parent is ABOVE_ROOT.
-        self._path: list[Path] = [ROOT]
-        self._parent: list = [ABOVE_ROOT]
-        self._kids: list[dict[str, int]] = [{}]
-        self._node: list[Node] = [self._node_at(ROOT)]
-
-    def _node_at(self, p: Path) -> Node:
-        """The node of ``p``, its references sorted when it has several, so
-        that the order the equations follow them in, and with it the fuel
-        spent before an error, does not depend on the hash seed."""
-        node = self.program.nodes.get(p, _NO_NODE)
-        if len(node.inherits) > 1:
-            return Node(node.defines, tuple(sorted(node.inherits)))
-        return node
+        # The trie: per id, its parent id, last label, children by label
+        # and node; the root is id 0, and its parent is ABOVE_ROOT.
+        self._parent: list = list(program._parent)
+        self._parent[0] = ABOVE_ROOT
+        self._label: list = list(program._label)
+        self._kids: list[dict[str, int]] = list(program._kids)
+        self._node: list[Node] = list(program._node)
+        self._adopted = len(self._node)
 
     def _add_child(self, i: int, label: str) -> int:
         """Intern the child ``label`` of id ``i``, which has none yet."""
-        j = self._kids[i][label] = len(self._path)
-        p = self._path[i] + (label,)
-        self._path.append(p)
+        kids = self._kids
+        if i < self._adopted and kids[i] is self.program._kids[i]:
+            kids[i] = dict(kids[i])
+        j = kids[i][label] = len(kids)
+        kids.append({})
         self._parent.append(i)
-        self._kids.append({})
-        self._node.append(self._node_at(p))
+        self._label.append(label)
+        self._node.append(_NO_NODE)
         return j
 
     def _child(self, i: int, label: str) -> int:
@@ -166,16 +165,21 @@ class InternedContext:
         return self._kids[i].get(label) or self._add_child(i, label)
 
     def _intern(self, p: Path) -> int:
-        i = 0
+        i, kids = 0, self._kids
         for label in p:
-            i = self._child(i, label)
+            i = kids[i].get(label) or self._add_child(i, label)
         return i
 
     def _paths(self, ids):
-        """The path of an id, or the paths of a frozenset of ids."""
+        """The path of an id, or the paths of a frozenset of ids, read up the
+        trie."""
         if isinstance(ids, frozenset):
-            return frozenset(map(self._path.__getitem__, ids))
-        return self._path[ids]
+            return frozenset(map(self._paths, ids))
+        labels, i = [], ids
+        while i:
+            labels.append(self._label[i])
+            i = self._parent[i]
+        return tuple(reversed(labels))
 
     def _witness(self, tag: str, key) -> tuple:
         """The path-valued witness of a divergent query on ids.  A key is
@@ -235,7 +239,7 @@ class EvalContext(InternedContext):
         if p == 0:
             return frozenset({0})
         _, members = self._supers(self._parent[p])
-        label = self._path[p][-1]
+        label = self._label[p]
         out = {p}
         for q in members.get(label, ()):
             out.add(self._child(q, label))
@@ -274,7 +278,7 @@ class EvalContext(InternedContext):
             return S
         if len(S) != 1:
             self.single_path_violations.append(
-                SinglePathViolation(self._paths(S), self._path[p_def], n)
+                SinglePathViolation(self._paths(S), self._paths(p_def), n)
             )
         if p_def == 0:
             raise ScopeUnderflowError(f"this step above the root (n={n} remaining)")
@@ -293,9 +297,9 @@ class EvalContext(InternedContext):
 
     def supers(self, p: Path) -> frozenset:
         pairs, _ = self._supers(self._intern(p))
-        path = self._path
         return frozenset(
-            (context if context is ABOVE_ROOT else path[context], path[p_override])
+            (context if context is ABOVE_ROOT else self._paths(context),
+             self._paths(p_override))
             for context, p_override in pairs
         )
 
@@ -323,7 +327,7 @@ class EvalContext(InternedContext):
     def ancestors(self, p: Path) -> frozenset[Path]:
         """Override components of supers(p): every path p inherits from."""
         pairs, _ = self._supers(self._intern(p))
-        return frozenset(self._path[p_override] for _, p_override in pairs)
+        return frozenset(self._paths(p_override) for _, p_override in pairs)
 
     def observe(
         self, p: Path, depth: int, record_divergence: bool = False

@@ -17,13 +17,15 @@ Indexed references parse straight to their desugared form, a
 (``n = 0`` is the scope enclosing the record that contains the
 reference) and ``downs`` is a list of downward projections.
 ``resolve_references`` desugars the named and lexical forms to the same
-representation.
+representation and stores the table as a ``CoreProgram``, a (parent,
+label) trie of path ids.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 Label = str
@@ -249,37 +251,112 @@ class Node:
 
 
 _EMPTY_NODE = Node()
+# The node of an id that is in the trie but not in the table: the prefix
+# of a table path that the table does not list.
+_HOLE = Node()
 
 
 class CoreProgram:
-    """Per-path node table exposing ``defines`` and ``inherits``.
+    """A program's node table, stored as a (parent, label) trie of integer
+    path ids: per id its parent id, last label, children by label and
+    node.  The root is id 0, every id is larger than its parent's, and a
+    node with several references holds them as a sorted tuple, so the
+    order the equations follow them in, and with it the fuel spent before
+    an error, does not depend on the hash seed.  Evaluation contexts adopt
+    these ids as their first ids and never change them.
 
-    Lookups on paths never mentioned in the source return empty sets;
-    the semantic equations freely probe candidate paths.
+    ``CoreProgram(nodes)`` interns a path table in sorted path order, so
+    the ids do not follow the table's order; a missing prefix of a table
+    path gets an id that holds no node.  ``CoreProgram()`` is one empty
+    root record, which a writer (``lam.translate``) extends with ``_add``.
+    ``nodes`` is a read-only path-keyed view of the table.  Lookups on
+    paths never mentioned in the source return empty sets.
     """
 
-    def __init__(self, nodes: dict[Path, Node]):
-        self.nodes = dict(nodes)
+    def __init__(self, nodes: Mapping[Path, Node] | None = None):
+        self._parent: list = [None]
+        self._label: list = [None]
+        self._kids: list[dict[str, int]] = [{}]
+        self._node: list[Node] = [_EMPTY_NODE]
+        self._holes = 0  # the number of ids that hold no node of the table
+        self._table: dict[Path, Node] | None = None
+        if nodes is None:
+            return
+        self._node[0] = _HOLE
+        for p in sorted(nodes):
+            i = 0
+            for label in p:
+                i = self._kids[i].get(label) or self._add(i, label, _HOLE)
+            node = nodes[p]
+            if len(node.inherits) > 1:
+                node = Node(node.defines, tuple(sorted(node.inherits)))
+            self._node[i] = node
+        self._holes = len(self._node) - len(nodes)
+
+    def _add(self, i: int, label: str, node: Node = _EMPTY_NODE) -> int:
+        """Add the child ``label`` of id ``i``, which has none yet, with its
+        node."""
+        j = self._kids[i][label] = len(self._node)
+        self._parent.append(i)
+        self._label.append(label)
+        self._kids.append({})
+        self._node.append(node)
+        return j
+
+    @property
+    def nodes(self) -> Mapping[Path, Node]:
+        return _NodeView(self)
+
+    def _nodes(self) -> dict[Path, Node]:
+        """The path-keyed table, in id order, built on first use."""
+        if self._table is None:
+            paths: list[Path] = [ROOT]
+            for i in range(1, len(self._node)):
+                paths.append(paths[self._parent[i]] + (self._label[i],))
+            self._table = {
+                paths[i]: Node(node.defines, frozenset(node.inherits))
+                if type(node.inherits) is tuple else node
+                for i, node in enumerate(self._node)
+                if node is not _HOLE
+            }
+        return self._table
 
     def defines(self, p: Path) -> frozenset[str]:
-        return self.nodes.get(p, _EMPTY_NODE).defines
+        return self._nodes().get(p, _EMPTY_NODE).defines
 
     def inherits(self, p: Path) -> frozenset[Reference]:
-        return self.nodes.get(p, _EMPTY_NODE).inherits
+        return self._nodes().get(p, _EMPTY_NODE).inherits
 
     def paths(self) -> list[Path]:
-        return sorted(self.nodes)
+        return sorted(self._nodes())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoreProgram):
             return NotImplemented
-        return self.nodes == other.nodes
+        return self._nodes() == other._nodes()
 
     def __hash__(self):
-        return hash(frozenset(self.nodes.items()))
+        return hash(frozenset(self._nodes().items()))
 
     def __repr__(self):
         return f"CoreProgram({len(self.nodes)} paths)"
+
+
+class _NodeView(Mapping):
+    """A program's nodes by path, read-only.  The length is known at once;
+    the path-keyed table behind the rest is built on first use."""
+
+    def __init__(self, program: CoreProgram):
+        self._program = program
+
+    def __len__(self) -> int:
+        return len(self._program._node) - self._program._holes
+
+    def __getitem__(self, p: Path) -> Node:
+        return self._program._nodes()[p]
+
+    def __iter__(self):
+        return iter(self._program._nodes())
 
 
 def resolve_references(table: SurfaceTable) -> CoreProgram:

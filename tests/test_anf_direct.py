@@ -11,6 +11,7 @@ from inhcalc.anf_direct import (
     extract,
 )
 from inhcalc.corpus import corpus_terms
+from inhcalc.fixtures import fixture
 from inhcalc.lam import (
     DEFAULT_MAX_DEPTH,
     NAMED_TERMS,
@@ -25,7 +26,7 @@ from inhcalc.lam import (
     translate,
 )
 from inhcalc.semantics import DivergenceError, EvalContext
-from inhcalc.syntax import Reference, parse_program
+from inhcalc.syntax import CoreProgram, Reference, parse_program, render
 
 # sha256 of one "name, converged, depth, reason, fuel left" line per term
 # of corpus_terms(8), scanned by the direct engine at fuel 10,000
@@ -208,3 +209,64 @@ def test_fuel_exhausted_witnesses_are_path_queries():
             else:
                 assert len(args) == 1 and is_path(args[0])
     assert tags == {"labels", "grafts", "callee*", "callee", "scope", "callee_ctx"}
+
+
+# ---------------------------------------------------------------------------
+# One program, read by both engines
+# ---------------------------------------------------------------------------
+
+def _scan_outcome(engine, prog, fuel: int):
+    """The least abstraction depth on the result chain, or the divergence
+    that stops the scan with its witness, and the fuel left."""
+    ctx = engine(prog, fuel=fuel)
+    labels = ctx.properties if engine is EvalContext else ctx.labels
+    try:
+        for n in range(DEFAULT_MAX_DEPTH + 1):
+            if {"argument", "result"} <= labels(("result",) * n):
+                return n, ctx.fuel
+    except DivergenceError as exc:
+        return (exc.kind, exc.witness), ctx.fuel
+    return "DepthExceeded", ctx.fuel
+
+
+_PROGRAMS = {
+    **{
+        name: lambda name=name: translate(anf_transform(NAMED_TERMS[name]))
+        for name in ("omega", "S", "eq", "church2")
+    },
+    "asymmetry": lambda: fixture("asymmetry").program(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROGRAMS))
+def test_evaluation_leaves_the_program_as_it_was(name):
+    # Contexts adopt the program's path ids and add their own after them;
+    # the program must read as new afterwards, to a third context too.
+    prog, fresh = _PROGRAMS[name](), _PROGRAMS[name]()
+    general = EvalContext(prog, fuel=10_000)  # as corpus.judge runs them
+    converges(prog, ctx=general)
+    converges_direct(prog, fuel=10_000)
+    properties_struct(general, (), 3)
+    labels_struct(DirectContext(prog, fuel=10_000), (), 3)
+    assert len(prog.nodes) == len(fresh.nodes)
+    assert dict(prog.nodes) == dict(fresh.nodes)
+    assert prog == fresh and hash(prog) == hash(fresh)
+    assert render(prog) == render(fresh)
+    for engine in (EvalContext, DirectContext):
+        for fuel in (0, 3, 10, 30, 100, 10_000):
+            want = _scan_outcome(engine, fresh, fuel)
+            assert _scan_outcome(engine, prog, fuel) == want, (engine, fuel)
+
+
+def test_translate_writes_the_program_its_table_interns():
+    # translate numbers ids in the order its walk meets the nodes, and
+    # CoreProgram(nodes) in sorted path order: the programs are equal, and
+    # the ids do not change what either scan finds or spends.
+    for name, t in corpus_terms(8):
+        written = translate(t)
+        interned = CoreProgram(written.nodes)
+        assert interned == written and render(interned) == render(written), name
+        for engine in (EvalContext, DirectContext):
+            for fuel in (5, 17, 40, 100, 10_000):
+                want = _scan_outcome(engine, written, fuel)
+                assert _scan_outcome(engine, interned, fuel) == want, (name, engine, fuel)

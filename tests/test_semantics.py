@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_path, properties_struct
+from conftest import is_path, mutated_text, properties_struct
 from inhcalc.fixtures import fixture, fixture_names
 from inhcalc.semantics import (
     ABOVE_ROOT,
@@ -15,7 +15,7 @@ from inhcalc.semantics import (
     NaiveEvaluator,
     ScopeUnderflowError,
 )
-from inhcalc.syntax import parse_program
+from inhcalc.syntax import parse, parse_program
 
 P1 = "{A = {x = {}}, B = {A, x = {y = {}}}}"
 P2 = "{Outer = {Inner = {r = this@Outer}}, Obj = {Outer}}"
@@ -196,6 +196,30 @@ def test_fuel_before_an_underflow_does_not_follow_the_hash_seed():
         with pytest.raises(ScopeUnderflowError):
             ctx.properties(("a",))
         assert 20_000 - ctx.fuel == spent, engine.__name__
+
+
+def _observe_outcome(prog, fuel: int, record_divergence: bool):
+    ctx = EvalContext(prog, fuel=fuel)
+    try:
+        out = ctx.observe((), 4, record_divergence).text()
+    except DivergenceError as exc:
+        out = (exc.kind, exc.witness)
+    return out, ctx.fuel
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_source_element_order_does_not_reach_evaluation(name):
+    # A program interns its paths in sorted order, so shuffled and
+    # duplicated elements give the same path ids: the same tree and fuel,
+    # and at every small budget the same divergence, witness and fuel left.
+    source = fixture(name).source
+    rng = random.Random(5)
+    texts = [source] + [mutated_text(parse(source), rng) for _ in range(4)]
+    programs = [parse_program(text) for text in texts]
+    runs = [(DEFAULT_FUEL, True)] + [(fuel, False) for fuel in range(0, 300, 13)]
+    for fuel, record_divergence in runs:
+        outcomes = {_observe_outcome(p, fuel, record_divergence) for p in programs}
+        assert len(outcomes) == 1, (fuel, outcomes)
 
 
 def test_fuel_exhaustion():
