@@ -33,7 +33,6 @@ from importlib import resources
 
 from .semantics import DivergenceError, EvalContext
 from .syntax import (
-    ROOT,
     CoreProgram,
     parse,
     parse_path,
@@ -198,29 +197,17 @@ FRAGMENT_DEPS = {
 }
 
 
-def _fragment_closure(names) -> list[str]:
-    out: list[str] = []
-
-    def visit(n: str):
-        if n in out:
-            return
-        for dep in FRAGMENT_DEPS[n]:
-            visit(dep)
-        out.append(n)
-
+def _fragment_closure(names, out: dict) -> dict:
     for n in names:
-        visit(n)
+        if n not in out:
+            _fragment_closure(FRAGMENT_DEPS[n], out)[n] = None
     return out
 
 
 def fragment_program(*names: str) -> CoreProgram:
     """A standalone program holding the named nat members plus their
     dependency closure, cross-referencing by name as in the combined
-    fixture."""
-    members = dict.fromkeys(_fragment_closure(names))
-    table = {ROOT: (members, {})}
-    table.update(
-        (p, entry) for p, entry in parse(fixture("nat").source).items()
-        if p and p[0] in members
-    )
-    return resolve_references(table)
+    fixture: the nat surface with its root restricted to those members."""
+    surface = parse(fixture("nat").source)
+    surface._node[0] = (_fragment_closure(names, {}), {})
+    return resolve_references(surface)

@@ -27,7 +27,6 @@ from .syntax import (
     Node,
     Path,
     Reference,
-    SurfaceTable,
     resolve_references,  # noqa: F401  (bench/layers.py traces lam.resolve_references)
 )
 
@@ -460,13 +459,16 @@ def translate(t: Term) -> CoreProgram:
     return translation.program
 
 
-def translate_surface(t: Term) -> SurfaceTable:
-    """The table of ``translate(t)`` in the shape ``parse`` writes, labels
-    and references sorted: ``resolve_references`` of it is ``translate(t)``."""
-    return {
-        p: (dict.fromkeys(sorted(node.defines)), dict.fromkeys(sorted(node.inherits)))
-        for p, node in translate(t).nodes.items()
-    }
+def translate_surface(t: Term) -> CoreProgram:
+    """The trie of ``translate(t)`` with surface nodes, as ``parse`` writes
+    them, labels and references sorted: ``resolve_references`` of it is
+    ``translate(t)``."""
+    program = translate(t)
+    program._node = [
+        (dict.fromkeys(sorted(node.defines)), dict.fromkeys(sorted(node.inherits)))
+        for node in program._node
+    ]
+    return program
 
 
 # ---------------------------------------------------------------------------

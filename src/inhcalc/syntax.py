@@ -1,4 +1,4 @@
-"""Surface syntax: parsing, reference desugaring, and the core node table.
+"""Surface syntax: parsing, reference desugaring, and the core program.
 
 A program is a single record literal.  Records contain two kinds of
 elements: definitions (``label = body``) and inheritance references.
@@ -8,17 +8,18 @@ References come in three surface forms:
 * indexed    -- ``^2.a.b`` carries an explicit de Bruijn scope count
 * lexical    -- ``a.b`` names a sibling (or outer) definition by its head
 
-``parse`` writes the path table ``{path: (labels, references)}``: each
-record literal adds its labels and references to the entry of its path,
-so repeated definitions of a label share one path and compose by union.
-Both are insertion-ordered dicts, kept in order of first appearance.
-Indexed references parse straight to their desugared form, a
-``Reference(n, downs)``: ``n`` counts enclosing scope levels upward
-(``n = 0`` is the scope enclosing the record that contains the
-reference) and ``downs`` is a list of downward projections.
+``parse`` writes the surface program, a ``CoreProgram`` trie whose ids
+follow the order of first appearance and whose nodes are ``(labels,
+references)`` pairs: each record literal adds its labels and references
+to the node of its path, so repeated definitions of a label share one id
+and compose by union.  Both are insertion-ordered dicts, kept in order
+of first appearance.  Indexed references parse straight to their
+desugared form, a ``Reference(n, downs)``: ``n`` counts enclosing scope
+levels upward (``n = 0`` is the scope enclosing the record that contains
+the reference) and ``downs`` is a list of downward projections.
 ``resolve_references`` desugars the named and lexical forms to the same
-representation and stores the table as a ``CoreProgram``, a (parent,
-label) trie of path ids.
+representation and writes the program anew in sorted path order, so the
+source's order does not reach evaluation.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ class LexicalRef:
 
 
 SurfaceRef = NamedRef | LexicalRef | Reference
-# path -> (labels defined there, references made there), each an
-# insertion-ordered dict used as an ordered set
-SurfaceTable = dict[Path, tuple[dict[str, None], dict[SurfaceRef, None]]]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +158,9 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
-        self.table: SurfaceTable = {}
+        program = self.program = CoreProgram()
+        self.node, self.kids, self.add = program._node, program._kids, program._add
+        self.node[0] = ({}, {})
 
     def error(self, message: str):
         pos = _token_offset(self.source, self.i)
@@ -173,22 +173,21 @@ class _Parser:
         self.i += 1
         return token
 
-    def parse_program(self) -> SurfaceTable:
-        self.parse_record(ROOT)
+    def parse_program(self) -> CoreProgram:
+        self.parse_record(0)
         if self.tokens[self.i]:
             self.error("trailing input after top-level record")
-        return self.table
+        return self.program
 
-    def parse_record(self, p: Path) -> None:
-        """Add the record literal at the cursor to the entry of ``p``."""
+    def parse_record(self, p: int) -> None:
+        """Add the record literal at the cursor to the node of id ``p``."""
         self.expect("lb")
         tokens = self.tokens
-        entry = self.table.setdefault(p, ({}, {}))
         if tokens[self.i] == "}":
             self.i += 1
             return
         while True:
-            self.parse_element(p, entry)
+            self.parse_element(p)
             if tokens[self.i] == ",":
                 self.i += 1
                 if tokens[self.i] == "}":  # trailing comma
@@ -198,19 +197,20 @@ class _Parser:
             self.expect("rb")
             return
 
-    def parse_element(self, p: Path, entry) -> None:
-        tokens, i = self.tokens, self.i
+    def parse_element(self, p: int) -> None:
+        tokens, i, node = self.tokens, self.i, self.node
         if tokens[i].isidentifier() and tokens[i + 1] == "=":
             self.i = i + 2
-            entry[0][tokens[i]] = None
-            child = p + (tokens[i],)
+            label = tokens[i]
+            node[p][0][label] = None
+            child = self.kids[p].get(label) or self.add(p, label, ({}, {}))
             if tokens[i + 2] == "{":
                 self.parse_record(child)
             else:
                 # "x = r" sugars to "x = { r }"
-                self.table.setdefault(child, ({}, {}))[1][self.parse_reference()] = None
+                node[child][1][self.parse_reference()] = None
         else:
-            entry[1][self.parse_reference()] = None
+            node[p][1][self.parse_reference()] = None
 
     def parse_reference(self) -> SurfaceRef:
         token = self.tokens[self.i]
@@ -235,8 +235,9 @@ class _Parser:
         return tuple(downs)
 
 
-def parse(source: str) -> SurfaceTable:
-    """Parse surface text into its path table (the surface program)."""
+def parse(source: str) -> CoreProgram:
+    """Parse surface text into its surface program: a trie with ids in order
+    of first appearance and ``(labels, references)`` nodes."""
     return _Parser(source).parse_program()
 
 
@@ -251,49 +252,33 @@ class Node:
 
 
 _EMPTY_NODE = Node()
-# The node of an id that is in the trie but not in the table: the prefix
-# of a table path that the table does not list.
-_HOLE = Node()
 
 
 class CoreProgram:
-    """A program's node table, stored as a (parent, label) trie of integer
-    path ids: per id its parent id, last label, children by label and
-    node.  The root is id 0, every id is larger than its parent's, and a
-    node with several references holds them as a sorted tuple, so the
-    order the equations follow them in, and with it the fuel spent before
-    an error, does not depend on the hash seed.  Evaluation contexts adopt
+    """A program, stored as a (parent, label) trie of integer path ids: per
+    id its parent id, last label, children by label and node.  The root
+    is id 0 and every id is larger than its parent's.  ``CoreProgram()``
+    is one empty root record, which a writer extends with ``_add``:
+    ``parse`` with ``(labels, references)`` surface nodes, and
+    ``resolve_references`` and ``lam.translate`` with ``Node``s.  A node
+    with several references holds them as a sorted tuple, so the order
+    the equations follow them in, and with it the fuel spent before an
+    error, does not depend on the hash seed.  Evaluation contexts adopt
     these ids as their first ids and never change them.
 
-    ``CoreProgram(nodes)`` interns a path table in sorted path order, so
-    the ids do not follow the table's order; a missing prefix of a table
-    path gets an id that holds no node.  ``CoreProgram()`` is one empty
-    root record, which a writer (``lam.translate``) extends with ``_add``.
-    ``nodes`` is a read-only path-keyed view of the table.  Lookups on
-    paths never mentioned in the source return empty sets.
+    ``nodes`` is a read-only path-keyed view of a program of ``Node``s
+    (a surface program is read by id).  Lookups on paths never mentioned
+    in the source return empty sets.
     """
 
-    def __init__(self, nodes: Mapping[Path, Node] | None = None):
+    def __init__(self):
         self._parent: list = [None]
         self._label: list = [None]
         self._kids: list[dict[str, int]] = [{}]
-        self._node: list[Node] = [_EMPTY_NODE]
-        self._holes = 0  # the number of ids that hold no node of the table
+        self._node: list = [_EMPTY_NODE]
         self._table: dict[Path, Node] | None = None
-        if nodes is None:
-            return
-        self._node[0] = _HOLE
-        for p in sorted(nodes):
-            i = 0
-            for label in p:
-                i = self._kids[i].get(label) or self._add(i, label, _HOLE)
-            node = nodes[p]
-            if len(node.inherits) > 1:
-                node = Node(node.defines, tuple(sorted(node.inherits)))
-            self._node[i] = node
-        self._holes = len(self._node) - len(nodes)
 
-    def _add(self, i: int, label: str, node: Node = _EMPTY_NODE) -> int:
+    def _add(self, i: int, label: str, node=_EMPTY_NODE) -> int:
         """Add the child ``label`` of id ``i``, which has none yet, with its
         node."""
         j = self._kids[i][label] = len(self._node)
@@ -302,6 +287,14 @@ class CoreProgram:
         self._kids.append({})
         self._node.append(node)
         return j
+
+    def _path(self, i: int) -> Path:
+        """The path of id ``i``, read up the trie."""
+        labels = []
+        while i:
+            labels.append(self._label[i])
+            i = self._parent[i]
+        return tuple(reversed(labels))
 
     @property
     def nodes(self) -> Mapping[Path, Node]:
@@ -317,7 +310,6 @@ class CoreProgram:
                 paths[i]: Node(node.defines, frozenset(node.inherits))
                 if type(node.inherits) is tuple else node
                 for i, node in enumerate(self._node)
-                if node is not _HOLE
             }
         return self._table
 
@@ -350,7 +342,7 @@ class _NodeView(Mapping):
         self._program = program
 
     def __len__(self) -> int:
-        return len(self._program._node) - self._program._holes
+        return len(self._program._node)
 
     def __getitem__(self, p: Path) -> Node:
         return self._program._nodes()[p]
@@ -359,8 +351,9 @@ class _NodeView(Mapping):
         return iter(self._program._nodes())
 
 
-def resolve_references(table: SurfaceTable) -> CoreProgram:
-    """Desugar all references to de Bruijn pairs, producing a CoreProgram.
+def resolve_references(surface: CoreProgram) -> CoreProgram:
+    """Desugar all references of a surface program to de Bruijn pairs,
+    writing the program anew in sorted path order.
 
     * named ``this@L.downs`` at path p: target the last occurrence of L
       among the labels of p; ``n = |p| - |p_target| - 1``.
@@ -368,41 +361,57 @@ def resolve_references(table: SurfaceTable) -> CoreProgram:
       with ``l1`` among the labels of p'; ``n = |p| - |p'| - 1``.
     * indexed references are already desugared.
 
-    Of several unresolvable references, the first in the table's order
-    (paths in order of first appearance, then source order) is reported.
+    Only the ids the root reaches through the labels are written.  Of
+    several unresolvable references, the first in the surface's order
+    (ids in order of first appearance, then source order) is reported.
     """
-    return CoreProgram({
-        p: Node(
-            frozenset(labels),
-            frozenset(_resolve_one(ref, p, table) for ref in refs),
-        )
-        for p, (labels, refs) in table.items()
-    })
+    parent, label, node = surface._parent, surface._label, surface._node
+    program = CoreProgram()
+    # Sorted path order is a preorder walk with children sorted by label.
+    new: list = [0] + [None] * (len(node) - 1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if i:
+            new[i] = program._add(new[parent[i]], label[i])
+        kids = surface._kids[i]
+        stack += [kids[k] for k in sorted(node[i][0], reverse=True)]
+    for i, j in enumerate(new):
+        if j is not None:
+            labels, refs = node[i]
+            inherits = frozenset(_resolve_one(ref, i, surface) for ref in refs)
+            if len(inherits) > 1:
+                inherits = tuple(sorted(inherits))
+            program._node[j] = Node(frozenset(labels), inherits)
+    return program
 
 
-def _resolve_one(ref: SurfaceRef, p: Path, table: SurfaceTable) -> Reference:
+def _resolve_one(ref: SurfaceRef, i: int, surface: CoreProgram) -> Reference:
     if isinstance(ref, Reference):
         return ref
+    parent, n = surface._parent, 0
+    j = parent[i]
     if isinstance(ref, NamedRef):
-        # Only proper prefixes of p are enclosing scopes of a reference
-        # stored at p, so the record's own final label is not a target.
-        for i in range(len(p) - 2, -1, -1):
-            if p[i] == ref.up:
-                # p_target = p[: i + 1]
-                return Reference(len(p) - (i + 1) - 1, ref.downs)
+        # Only proper ancestors of i are enclosing scopes of a reference
+        # stored there, so the record's own final label is not a target.
+        while j:
+            if surface._label[j] == ref.up:
+                return Reference(n, ref.downs)
+            j, n = parent[j], n + 1
         raise ResolutionError(
             "NamedNotFound",
-            f"this@{ref.up} at path {path_text(p)}: "
+            f"this@{ref.up} at path {path_text(surface._path(i))}: "
             "label does not name an enclosing scope",
         )
     if isinstance(ref, LexicalRef):
         head = ref.downs[0]
-        for i in range(len(p) - 1, -1, -1):
-            if head in table[p[:i]][0]:
-                return Reference(len(p) - i - 1, ref.downs)
+        while j is not None:
+            if head in surface._node[j][0]:
+                return Reference(n, ref.downs)
+            j, n = parent[j], n + 1
         raise ResolutionError(
             "LexicalNotFound",
-            f"{'.'.join(ref.downs)} at path {path_text(p)}: "
+            f"{'.'.join(ref.downs)} at path {path_text(surface._path(i))}: "
             f"no enclosing scope defines {head!r}",
         )
     raise TypeError(f"unknown reference form: {ref!r}")

@@ -6,7 +6,7 @@ import random
 
 from inhcalc.anf_direct import DirectContext
 from inhcalc.semantics import DivergenceError, EvalContext
-from inhcalc.syntax import ROOT, NamedRef, Reference, ref_text
+from inhcalc.syntax import NamedRef, Reference, ref_text
 
 
 def ref_str(ref) -> str:
@@ -21,13 +21,14 @@ def is_path(p) -> bool:
     return isinstance(p, tuple) and all(isinstance(label, str) for label in p)
 
 
-def mutated_text(table, rng: random.Random, dup: float = 0.25, p=ROOT) -> str:
-    """Surface text of the record at ``p`` of the path table ``table``
-    (as ``parse`` writes it) with elements shuffled and randomly
-    duplicated at every nesting level."""
-    labels, refs = table[p]
+def mutated_text(surface, rng: random.Random, dup: float = 0.25, i: int = 0) -> str:
+    """Surface text of the record of id ``i`` of the surface program
+    ``surface`` (as ``parse`` writes it) with elements shuffled and
+    randomly duplicated at every nesting level."""
+    labels, refs = surface._node[i]
+    kids = surface._kids[i]
     parts = [ref_str(r) for r in refs]
-    parts += [f"{label} = {mutated_text(table, rng, dup, p + (label,))}" for label in labels]
+    parts += [f"{label} = {mutated_text(surface, rng, dup, kids[label])}" for label in labels]
     parts += [part for part in parts if rng.random() < dup]
     rng.shuffle(parts)
     return "{" + ", ".join(parts) + "}" if parts else "{}"

@@ -24,9 +24,10 @@ from inhcalc.lam import (
     _scan_result_chain,
     parse_lambda,
     translate,
+    translate_surface,
 )
 from inhcalc.semantics import DivergenceError, EvalContext
-from inhcalc.syntax import CoreProgram, Reference, parse_program, render
+from inhcalc.syntax import Reference, parse_program, render, resolve_references
 
 # sha256 of one "name, converged, depth, reason, fuel left" line per term
 # of corpus_terms(8), scanned by the direct engine at fuel 10,000
@@ -260,11 +261,11 @@ def test_evaluation_leaves_the_program_as_it_was(name):
 
 def test_translate_writes_the_program_its_table_interns():
     # translate numbers ids in the order its walk meets the nodes, and
-    # CoreProgram(nodes) in sorted path order: the programs are equal, and
+    # resolve_references in sorted path order: the programs are equal, and
     # the ids do not change what either scan finds or spends.
     for name, t in corpus_terms(8):
         written = translate(t)
-        interned = CoreProgram(written.nodes)
+        interned = resolve_references(translate_surface(t))
         assert interned == written and render(interned) == render(written), name
         for engine in (EvalContext, DirectContext):
             for fuel in (5, 17, 40, 100, 10_000):

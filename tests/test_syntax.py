@@ -99,10 +99,12 @@ def test_named_not_found():
     assert exc.value.kind == "NamedNotFound"
     # Of several unresolvable references, the one at the path that appears
     # first in the source is reported (the first there in source order),
-    # also when a later duplicate definition adds one.
+    # also when a later duplicate definition adds one, and also when the
+    # path sorts after another that fails.
     for src, where in [
         ("{c = {}, a = {this@X}, c = {b = {this@Y}}}", "this@X at path a"),
         ("{a = {this@X, this@Y}}", "this@X at path a"),
+        ("{b = {this@X}, a = {this@Y}}", "this@X at path b"),
     ]:
         with pytest.raises(ResolutionError) as exc:
             parse_program(src)
@@ -115,6 +117,17 @@ def test_lexical_not_found():
     with pytest.raises(ResolutionError) as exc:
         parse_program("{a = {nowhere.b}}")
     assert exc.value.kind == "LexicalNotFound"
+    # The first unresolvable reference in source order is reported, not
+    # the first in sorted path order.
+    for src, where, head in [
+        ("{b = {x.y}, a = {z}}", "x.y at path b", "x"),
+        ("{b = {c = {q}}, a = {c = {r}}}", "q at path b.c", "q"),
+    ]:
+        with pytest.raises(ResolutionError) as exc:
+            parse_program(src)
+        assert str(exc.value) == (
+            f"LexicalNotFound: {where}: no enclosing scope defines {head!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +158,18 @@ def test_lexical_equals_explicit_indexed():
     lexical2 = parse_program("{a = {}, b = {c = {a}}}")
     indexed2 = parse_program("{a = {}, b = {c = {^1.a}}}")
     assert lexical2 == indexed2
+
+
+def test_resolution_at_depth():
+    # 400 levels of a under A: named and lexical lookups walk up the whole
+    # nest to the root, or stop one level up.
+    src = "{A = " + "{a = " * 400 + "{r = A.x, s = this@A.x, t = a}" + "}" * 400 + ", x = {}}"
+    prog = parse_program(src)
+    inner = ("A",) + ("a",) * 400
+    assert prog.inherits(inner + ("r",)) == {Reference(401, ("A", "x"))}
+    assert prog.inherits(inner + ("s",)) == {Reference(400, ("x",))}
+    assert prog.inherits(inner + ("t",)) == {Reference(1, ("a",))}
+    assert len(prog.nodes) == 406
 
 
 def test_lexical_skips_own_scope():
@@ -203,6 +228,8 @@ def test_permutation_and_duplication_invariance(src, seed):
     rec = parse(src)
     base = parse_program(src)
     assert parse_program(mutated_text(rec, random.Random(seed))) == base
+    # The ids are numbered in sorted path order, whatever the source order.
+    assert list(base.nodes) == sorted(base.nodes)
 
 
 @settings(max_examples=200, deadline=None)
