@@ -131,7 +131,7 @@ class InternedContext:
     divergence is path-valued where it is raised, by ``_witness``.
 
     A context is single-threaded; create one context per evaluation.
-    Results are immutable frozensets, safe to share once computed.
+    Results are immutable frozensets or tuples, safe to share once computed.
     """
 
     def __init__(self, program: CoreProgram, fuel: int = DEFAULT_FUEL):
@@ -201,24 +201,20 @@ class EvalContext(InternedContext):
 
     @equation("properties")
     def _properties(self, p: int) -> frozenset[str]:
-        _, members = self._supers(p)
-        return frozenset(members)
+        node = self._node
+        out = set()
+        for _, overrides in self._supers(p):
+            for o in overrides:
+                out |= node[o].defines
+        return frozenset(out)
 
     @equation("supers")
     def _supers(self, p: int) -> tuple:
-        """The super pairs of ``p``, with their member index: label -> the
-        override ids of those pairs that define it, once per base that
-        reaches them."""
-        parent, node = self._parent, self._node
-        pairs = set()
-        members = defaultdict(list)
-        for p_base in self._bases_star(p):
-            context = parent[p_base]
-            for p_override in self._overrides(p_base):
-                pairs.add((context, p_override))
-                for label in node[p_override].defines:
-                    members[label].append(p_override)
-        return frozenset(pairs), members
+        """The super pairs of ``p``, factored by base: one
+        ``(init(b), overrides(b))`` entry per ``b`` in ``bases*(p)``, in its
+        iteration order, each overrides set the one its memo holds."""
+        parent = self._parent
+        return tuple((parent[b], self._overrides(b)) for b in self._bases_star(p))
 
     @equation("bases*")
     def _bases_star(self, p: int) -> frozenset[int]:
@@ -238,11 +234,12 @@ class EvalContext(InternedContext):
     def _overrides(self, p: int) -> frozenset[int]:
         if p == 0:
             return frozenset({0})
-        _, members = self._supers(self._parent[p])
-        label = self._label[p]
+        label, node = self._label[p], self._node
         out = {p}
-        for q in members.get(label, ()):
-            out.add(self._child(q, label))
+        for _, overrides in self._supers(self._parent[p]):
+            for q in overrides:
+                if label in node[q].defines:
+                    out.add(self._child(q, label))
         return frozenset(out)
 
     @equation("bases")
@@ -284,8 +281,8 @@ class EvalContext(InternedContext):
             raise ScopeUnderflowError(f"this step above the root (n={n} remaining)")
         frontier = set()
         for current in S:
-            for p_site, p_override in self._supers(current)[0]:
-                if p_override == p_def:
+            for p_site, overrides in self._supers(current):
+                if p_def in overrides:
                     assert p_site is not ABOVE_ROOT, "AboveRoot matched a this step"
                     frontier.add(p_site)
         return self._this((frozenset(frontier), self._parent[p_def], n - 1))
@@ -296,11 +293,11 @@ class EvalContext(InternedContext):
         return self._properties(self._intern(p))
 
     def supers(self, p: Path) -> frozenset:
-        pairs, _ = self._supers(self._intern(p))
         return frozenset(
             (context if context is ABOVE_ROOT else self._paths(context),
              self._paths(p_override))
-            for context, p_override in pairs
+            for context, overrides in self._supers(self._intern(p))
+            for p_override in overrides
         )
 
     def bases_star(self, p: Path) -> frozenset[Path]:
@@ -326,8 +323,8 @@ class EvalContext(InternedContext):
 
     def ancestors(self, p: Path) -> frozenset[Path]:
         """Override components of supers(p): every path p inherits from."""
-        pairs, _ = self._supers(self._intern(p))
-        return frozenset(self._paths(p_override) for _, p_override in pairs)
+        entries = self._supers(self._intern(p))
+        return self._paths(frozenset().union(*(overrides for _, overrides in entries)))
 
     def observe(
         self, p: Path, depth: int, record_divergence: bool = False

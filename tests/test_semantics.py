@@ -14,6 +14,7 @@ from inhcalc.semantics import (
     EvalContext,
     NaiveEvaluator,
     ScopeUnderflowError,
+    SinglePathViolation,
 )
 from inhcalc.syntax import parse, parse_program
 
@@ -37,6 +38,32 @@ def test_scope_reference_late_binding():
     # r inherits the object that instantiated Inner, not Outer statically
     assert ctx.properties(("Obj", "Inner", "r")) == {"Inner"}
     assert ctx.properties(("Outer", "Inner", "r")) == {"Inner"}
+
+
+def test_this_step_with_two_sites():
+    # H.outer's scope reference steps out of MyInner to Mid, which H reaches
+    # through both objects: one step whose frontier holds two sites, each
+    # then stepping out to its own object.
+    prog = parse_program(
+        "{MyOuter = {Mid = {MyInner = {outer = this@MyOuter}}},"
+        " Object1 = {MyOuter}, Object2 = {MyOuter},"
+        " H = {Object1.Mid.MyInner, Object2.Mid.MyInner}}"
+    )
+    ctx = EvalContext(prog)
+    ctx.observe((), 5, record_divergence=True)
+    assert ctx.single_path_violations == [
+        SinglePathViolation(
+            frozenset({("Object1", "Mid"), ("Object2", "Mid")}), ("MyOuter", "Mid"), 1
+        )
+    ]
+    assert ctx.ancestors(("H", "outer")) == {
+        ("H", "outer"),
+        ("MyOuter",),
+        ("MyOuter", "Mid", "MyInner", "outer"),
+        ("Object1",),
+        ("Object2",),
+    }
+    assert DEFAULT_FUEL - ctx.fuel == 130
 
 
 def test_root_supers_uses_above_root_sentinel():
@@ -339,6 +366,30 @@ def test_memoized_equals_naive(src):
             assert "diverged" in (memo[0], naive[0])
         else:
             assert memo[0] == naive[0] or "diverged" in (memo[0], naive[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_program_texts())
+def test_supers_is_the_comprehension_over_bases_star_and_overrides(src):
+    # supers(p) = {(init(b), o) | b in bases*(p), o in overrides(b)}, with
+    # ABOVE_ROOT as init of the root; ancestors(p) are its overrides, and
+    # properties(p) is what they define.
+    prog = parse_program(src)
+    for p in prog.paths():
+        ctx = EvalContext(prog, fuel=50_000)
+        try:
+            supers = ctx.supers(p)
+            expected = {
+                (b[:-1] if b else ABOVE_ROOT, o)
+                for b in ctx.bases_star(p)
+                for o in ctx.overrides(b)
+            }
+            ancestors, properties = ctx.ancestors(p), ctx.properties(p)
+        except (DivergenceError, ScopeUnderflowError):
+            continue
+        assert supers == expected
+        assert ancestors == {o for _, o in supers}
+        assert properties == set().union(*map(prog.defines, ancestors))
 
 
 @settings(max_examples=100, deadline=None)
