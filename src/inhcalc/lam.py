@@ -127,33 +127,32 @@ _LAM_KIND = {
 }
 
 
-def _lam_tokens(text: str) -> list[tuple[str, str]]:
-    """``(kind, text)`` tokens, ending with ``("eof", "")``.  A token's
-    kind comes from its text (``let``, ``in``, punctuation and the end of
-    input) or else from its first character."""
-    tokens = list(filter(None, _LAM_TOKEN_RE.findall(text)))
-    if tokens and tokens[-1][0] not in _LAM_KIND:
-        pos = len(text) - len(tokens[-1])
+def _lam_tokens(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the tokens, ending with kind ``eof`` and
+    text ``""``.  A token's kind comes from its text (``let``, ``in``,
+    punctuation and the end of input) or else from its first character."""
+    texts = list(filter(None, _LAM_TOKEN_RE.findall(text)))
+    if texts and texts[-1][0] not in _LAM_KIND:
+        pos = len(text) - len(texts[-1])
         raise LambdaParseError(f"unexpected character {text[pos]!r} at {pos}")
-    tokens.append("")
-    return [(_LAM_KIND.get(tok) or _LAM_KIND[tok[0]], tok) for tok in tokens]
+    texts.append("")
+    return [_LAM_KIND.get(tok) or _LAM_KIND[tok[0]] for tok in texts], texts
 
 
 class _LamParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the token kinds and texts, read by index."""
+
+    def __init__(self, text: str):
+        self.kinds, self.texts = _lam_tokens(text)
         self.i = 0
 
-    @property
-    def cur(self):
-        return self.tokens[self.i]
-
-    def expect(self, kind):
-        if self.cur[0] != kind:
-            raise LambdaParseError(f"expected {kind}, found {self.cur[0] or 'eof'}")
-        tok = self.cur
-        self.i += 1
-        return tok
+    def expect(self, kind: str) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        i = self.i
+        if self.kinds[i] != kind:
+            raise LambdaParseError(f"expected {kind}, found {self.kinds[i]}")
+        self.i = i + 1
+        return self.texts[i]
 
     def parse(self) -> Term:
         t = self.parse_term()
@@ -161,14 +160,15 @@ class _LamParser:
         return t
 
     def parse_term(self) -> Term:
-        if self.cur[0] == "lam":
+        kind = self.kinds[self.i]
+        if kind == "lam":
             self.i += 1
-            param = self.expect("ident")[1]
+            param = self.expect("ident")
             self.expect("dot")
             return Abs(param, self.parse_term())
-        if self.cur[0] == "let":
+        if kind == "let":
             self.i += 1
-            name = self.expect("ident")[1]
+            name = self.expect("ident")
             self.expect("eq")
             rhs = self.parse_term()
             self.expect("in")
@@ -178,27 +178,29 @@ class _LamParser:
 
     def parse_application(self) -> Term:
         t = self.parse_atom()
-        while self.cur[0] in ("lp", "ident", "lam"):
-            if self.cur[0] == "lam":
+        while (kind := self.kinds[self.i]) in ("lp", "ident", "lam"):
+            if kind == "lam":
                 # allow "f \x. M" to consume the trailing abstraction
-                t = App(t, self.parse_term())
-                break
+                return App(t, self.parse_term())
             t = App(t, self.parse_atom())
         return t
 
     def parse_atom(self) -> Term:
-        if self.cur[0] == "lp":
-            self.i += 1
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "ident":
+            self.i = i + 1
+            return Var(self.texts[i])
+        if kind == "lp":
+            self.i = i + 1
             t = self.parse_term()
             self.expect("rp")
             return t
-        if self.cur[0] == "ident":
-            return Var(self.expect("ident")[1])
-        raise LambdaParseError(f"unexpected token {self.cur[0] or 'eof'}")
+        raise LambdaParseError(f"unexpected token {kind}")
 
 
 def parse_lambda(text: str, allow_free: bool = False) -> Term:
-    term = _LamParser(_lam_tokens(text)).parse()
+    term = _LamParser(text).parse()
     if not allow_free:
         free = free_vars(term)
         if free:
@@ -258,6 +260,63 @@ def _names(t: Term, out: set[str]) -> set[str]:
     return out
 
 
+class _Anf:
+    """One ANF normalization: the names in use and the fresh-name counter.
+    The helpers are methods, so no closure cell ties them in a cycle and
+    reference counting frees the normalizer when it returns."""
+
+    def __init__(self, used: set[str]):
+        self.used = used
+        self.counter = 0
+
+    def fresh(self) -> str:
+        while True:
+            name = f"_a{self.counter}"
+            self.counter += 1
+            if name not in self.used:
+                self.used.add(name)
+                return name
+
+    def to_value(self, v: Term) -> Term:
+        if isinstance(v, Var):
+            return v
+        if isinstance(v, Abs):
+            return Abs(v.param, self.to_comp(v.body))
+        raise TypeError(f"not a value: {v!r}")
+
+    def atomize(self, u: Term, lets: list) -> Term:
+        if is_value(u):
+            return self.to_value(u)
+        if isinstance(u, Let):
+            return self.atomize(App(Abs(u.name, u.body), u.rhs), lets)
+        arg = self.atomize(u.arg, lets)
+        fun = self.atomize(u.fun, lets)
+        name = self.fresh()
+        lets.append((name, fun, arg))
+        return Var(name)
+
+    def to_comp(self, u: Term) -> Term:
+        if is_value(u):
+            return self.to_value(u)
+        if isinstance(u, Let):
+            rhs = u.rhs
+            if isinstance(rhs, App) and is_value(rhs.fun) and is_value(rhs.arg):
+                return Let(
+                    u.name,
+                    App(self.to_value(rhs.fun), self.to_value(rhs.arg)),
+                    self.to_comp(u.body),
+                )
+            return self.to_comp(App(Abs(u.name, u.body), rhs))
+        # u is an application spine
+        lets: list = []
+        arg = self.atomize(u.arg, lets)
+        fun = self.atomize(u.fun, lets)
+        out: Term = App(fun, arg)
+        for name, f, a in reversed(lets):
+            out = Let(name, App(f, a), out)
+        return out
+
+
 def anf_transform(t: Term) -> Term:
     """Normalize a term to ANF with deterministic fresh names _a0, _a1, ...
 
@@ -267,57 +326,7 @@ def anf_transform(t: Term) -> Term:
     for ``(a b)(b false true)``.  Terms already in ANF pass through with
     their let-names intact.
     """
-    used = _names(t, set())
-    counter = [0]
-
-    def fresh() -> str:
-        while True:
-            name = f"_a{counter[0]}"
-            counter[0] += 1
-            if name not in used:
-                used.add(name)
-                return name
-
-    def to_value(v: Term) -> Term:
-        if isinstance(v, Var):
-            return v
-        if isinstance(v, Abs):
-            return Abs(v.param, to_comp(v.body))
-        raise TypeError(f"not a value: {v!r}")
-
-    def atomize(u: Term, lets: list) -> Term:
-        if is_value(u):
-            return to_value(u)
-        if isinstance(u, Let):
-            return atomize(App(Abs(u.name, u.body), u.rhs), lets)
-        arg = atomize(u.arg, lets)
-        fun = atomize(u.fun, lets)
-        name = fresh()
-        lets.append((name, fun, arg))
-        return Var(name)
-
-    def to_comp(u: Term) -> Term:
-        if is_value(u):
-            return to_value(u)
-        if isinstance(u, Let):
-            rhs = u.rhs
-            if isinstance(rhs, App) and is_value(rhs.fun) and is_value(rhs.arg):
-                return Let(
-                    u.name,
-                    App(to_value(rhs.fun), to_value(rhs.arg)),
-                    to_comp(u.body),
-                )
-            return to_comp(App(Abs(u.name, u.body), rhs))
-        # u is an application spine
-        lets: list = []
-        arg = atomize(u.arg, lets)
-        fun = atomize(u.fun, lets)
-        out: Term = App(fun, arg)
-        for name, f, a in reversed(lets):
-            out = Let(name, App(f, a), out)
-        return out
-
-    result = to_comp(t)
+    result = _Anf(_names(t, set())).to_comp(t)
     assert is_anf(result)
     return result
 
@@ -361,7 +370,7 @@ _NOT_ANF = "translate requires an ANF term"
 _ARGUMENT = ("argument",)
 _LAMBDA_NODE = Node(frozenset({"argument", "result"}))
 _TAIL_NODE = Node(frozenset({"tailCall", "result"}))
-_FORWARD_NODE = Node(inherits=frozenset({Reference(0, ("tailCall", "result"))}))
+_FORWARD_NODE = Node(inherits=(Reference(0, ("tailCall", "result")),))
 _APPLICATION_DEFINES = frozenset(_ARGUMENT)
 
 
@@ -391,7 +400,7 @@ class _Translation:
         given level."""
         node, add = self.node, self.add
         if isinstance(m, Var):
-            node[i] = Node(inherits=frozenset({self.ref(m, level)}))
+            node[i] = Node(inherits=(self.ref(m, level),))
         elif isinstance(m, Abs):
             node[i] = _LAMBDA_NODE
             add(i, "argument")
@@ -435,8 +444,7 @@ class _Translation:
         """
         fun, arg = app.fun, app.arg
         if isinstance(fun, Var):
-            callee = frozenset({self.ref(fun, level)})
-            self.node[i] = Node(_APPLICATION_DEFINES, callee)
+            self.node[i] = Node(_APPLICATION_DEFINES, (self.ref(fun, level),))
         elif isinstance(fun, Abs):
             self.node[i] = _LAMBDA_NODE
             self.bound(fun.param, level, _ARGUMENT, fun.body, self.add(i, "result"))

@@ -122,9 +122,10 @@ class InternedContext:
     paths it meets, whose first ids are the program's own.
 
     An id's memo key hashes in O(1), a step to a known parent or child
-    allocates nothing, and interning a path costs one dict lookup per
-    label.  The context copies the program's per-id lists and copies an
-    adopted id's children dict the first time it adds to it, so
+    allocates nothing, and a path that extends the last one interned
+    costs one dict lookup per label beyond it; any other path costs one
+    per label.  The context copies the program's per-id lists and copies
+    an adopted id's children dict the first time it adds to it, so
     evaluation never changes the program; a path it adds holds no node.
     Paths are built only on the way out: public methods of a subclass
     intern their arguments and map their results back to paths, and a
@@ -146,6 +147,7 @@ class InternedContext:
         self._kids: list[dict[str, int]] = list(program._kids)
         self._node: list[Node] = list(program._node)
         self._adopted = len(self._node)
+        self._last: tuple = ((), 0)  # the last path interned, and its id
 
     def _add_child(self, i: int, label: str) -> int:
         """Intern the child ``label`` of id ``i``, which has none yet."""
@@ -165,9 +167,17 @@ class InternedContext:
         return self._kids[i].get(label) or self._add_child(i, label)
 
     def _intern(self, p: Path) -> int:
-        i, kids = 0, self._kids
-        for label in p:
+        """The id of path ``p``.  A path that extends the last one interned
+        is walked from that path's id, so a scan down a chain takes one
+        step per level."""
+        last, i = self._last
+        n = len(last)
+        if p[:n] != last:
+            i = n = 0
+        kids = self._kids
+        for label in p[n:]:
             i = kids[i].get(label) or self._add_child(i, label)
+        self._last = (tuple(p), i)
         return i
 
     def _paths(self, ids):

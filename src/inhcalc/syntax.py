@@ -263,11 +263,14 @@ class CoreProgram:
     ``resolve_references`` and ``lam.translate`` with ``Node``s.  A node
     with several references holds them as a sorted tuple, so the order
     the equations follow them in, and with it the fuel spent before an
-    error, does not depend on the hash seed.  Evaluation contexts adopt
-    these ids as their first ids and never change them.
+    error, does not depend on the hash seed; ``lam.translate`` writes
+    each single reference as a 1-tuple too, so it hashes no reference.
+    Evaluation contexts adopt these ids as their first ids and never
+    change them.
 
     ``nodes`` is a read-only path-keyed view of a program of ``Node``s
-    (a surface program is read by id).  Lookups on paths never mentioned
+    (a surface program is read by id), with every reference tuple read
+    back as a frozenset.  Lookups on paths never mentioned
     in the source return empty sets.
     """
 

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import is_path, labels_struct, properties_struct
 from inhcalc.anf_direct import (
@@ -26,7 +28,12 @@ from inhcalc.lam import (
     translate,
     translate_surface,
 )
-from inhcalc.semantics import DivergenceError, EvalContext
+from inhcalc.semantics import (
+    DEFAULT_FUEL,
+    DivergenceError,
+    EvalContext,
+    ScopeUnderflowError,
+)
 from inhcalc.syntax import Reference, parse_program, render, resolve_references
 
 # sha256 of one "name, converged, depth, reason, fuel left" line per term
@@ -146,6 +153,100 @@ def test_deep_identity_chain_converges_at_depth_k(k):
     direct = converges_direct(extract(anf), max_depth=k + 1)
     assert (general.converged, general.depth) == (True, k)
     assert (direct.converged, direct.depth) == (True, k)
+
+
+def test_scans_of_a_120_redex_chain_intern_no_new_id():
+    # The chain's result^n paths are the let records translate wrote, so
+    # neither scan adds an id to the program's 483.
+    k = 120
+    prog = translate(anf_transform(parse_lambda(identity_chain(k))))
+    general, direct = EvalContext(prog), DirectContext(prog)
+    assert converges(prog, ctx=general, max_depth=k + 1).depth == k
+    assert _scan_result_chain(direct.labels, k + 1).depth == k
+    assert len(prog._node) == len(general._node) == len(direct._node) == 483
+    assert (DEFAULT_FUEL - general.fuel, DEFAULT_FUEL - direct.fuel) == (2283, 2040)
+
+
+class _PlainWalk:
+    """Interns every path by a walk from the root."""
+
+    def _intern(self, p):
+        i = 0
+        for label in p:
+            i = self._child(i, label)
+        return i
+
+
+class _PlainEvalContext(_PlainWalk, EvalContext):
+    pass
+
+
+class _PlainDirectContext(_PlainWalk, DirectContext):
+    pass
+
+
+_LABELS = st.sampled_from(("result", "argument", "tailCall", "_a0", "x"))
+_MOVES = st.one_of(
+    st.tuples(st.just("extend"), st.lists(_LABELS, min_size=1, max_size=3)),
+    st.tuples(st.just("sibling"), _LABELS),
+    st.tuples(st.just("prefix"), st.integers(0, 6)),
+    st.tuples(st.just("repeat"), st.none()),
+    st.tuples(st.just("root"), st.none()),
+    st.tuples(st.just("list"), st.lists(_LABELS, min_size=1, max_size=3)),
+    st.tuples(st.just("evaluate"), st.none()),
+)
+
+
+def _evaluate(query, p):
+    try:
+        return query(p)
+    except (DivergenceError, ScopeUnderflowError, AmbiguousCaller) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize(
+    "engine, plain, query",
+    [
+        (EvalContext, _PlainEvalContext, "properties"),
+        (DirectContext, _PlainDirectContext, "labels"),
+    ],
+)
+@settings(max_examples=150, deadline=None)
+@given(moves=st.lists(_MOVES, max_size=25))
+def test_intern_from_the_last_path_matches_a_walk_from_the_root(engine, plain, query, moves):
+    # Extensions, siblings, prefixes, repeats, the root, and a list path
+    # mutated after it was interned, with evaluations adding ids between.
+    prog = translate(anf_transform(NAMED_TERMS["S"]))
+    ctx, ref = engine(prog, fuel=200), plain(prog, fuel=200)
+    cur: tuple = ()
+
+    def check(p):
+        i = ctx._intern(p)
+        assert i == ref._intern(p)
+        assert ctx._paths(i) == tuple(p)
+
+    for move, arg in moves:
+        if move == "extend":
+            cur += tuple(arg)
+        elif move == "sibling":
+            cur = cur[:-1] + (arg,)
+        elif move == "prefix":
+            cur = cur[:arg]
+        elif move == "root":
+            cur = ()
+        elif move == "list":
+            path = list(cur) + arg
+            check(path)
+            path.append(arg[0])
+            check(path)
+            path[0] = "argument" if path[0] != "argument" else "result"
+            check(path)
+            check(cur + tuple(arg))
+        elif move == "evaluate":
+            got = _evaluate(getattr(ctx, query), cur)
+            assert got == _evaluate(getattr(ref, query), cur)
+        check(cur)  # after "repeat", the path the last move checked
+    assert len(ctx._node) == len(ref._node)
 
 
 def test_scope_step_with_two_callers_raises_ambiguous_caller():

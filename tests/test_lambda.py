@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -89,17 +90,38 @@ def test_parse_lambda_unexpected_character(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("\\x. (x", LambdaParseError, "expected rp, found eof"),
+        (")", LambdaParseError, "unexpected token rp"),
+        ("", LambdaParseError, "unexpected token eof"),
+        ("\\. x", LambdaParseError, "expected ident, found dot"),
+        ("let = x in x", LambdaParseError, "expected ident, found eq"),
+        ("\\x x", LambdaParseError, "expected dot, found ident"),
+        ("let x = \\y. y in", LambdaParseError, "unexpected token eof"),
+        ("\\x. x)", LambdaParseError, "expected eof, found rp"),
+        ("x y", FreeVariableError, "term is not closed; free variables: ['x', 'y']"),
+        ("y (\\z. x)", FreeVariableError, "term is not closed; free variables: ['x', 'y']"),
+    ],
+)
+def test_parse_lambda_error_messages(text, error, message):
+    with pytest.raises(error) as info:
+        parse_lambda(text)
+    assert str(info.value) == message
+
+
 def test_lambda_tokens_of_every_kind():
-    assert _lam_tokens("let f = λx. x_1 in (\\y.f\ty)") == [
+    assert list(zip(*_lam_tokens("let f = λx. x_1 in (\\y.f\ty)"))) == [
         ("let", "let"), ("ident", "f"), ("eq", "="), ("lam", "λ"),
         ("ident", "x"), ("dot", "."), ("ident", "x_1"), ("in", "in"),
         ("lp", "("), ("lam", "\\"), ("ident", "y"), ("dot", "."),
         ("ident", "f"), ("ident", "y"), ("rp", ")"), ("eof", ""),
     ]
-    assert _lam_tokens(" letx inn ") == [
+    assert list(zip(*_lam_tokens(" letx inn "))) == [
         ("ident", "letx"), ("ident", "inn"), ("eof", ""),
     ]
-    assert _lam_tokens("") == [("eof", "")]
+    assert _lam_tokens("") == (["eof"], [""])
 
 
 def test_term_text_round_trip():
@@ -120,6 +142,18 @@ def test_anf_of_nested_application():
 def test_anf_is_idempotent_on_anf_terms():
     anf = anf_transform(NAMED_TERMS["eq"])
     assert anf_transform(anf) == anf
+
+
+def test_anf_transform_leaves_no_cyclic_garbage():
+    # Reference counting alone must free what one normalization allocates.
+    gc.collect()
+    gc.disable()
+    try:
+        for name, t in NAMED_TERMS.items():
+            anf_transform(t)
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_anf_rejects_synthetic_name_collisions():
