@@ -1,18 +1,21 @@
 """Direct set-theoretic semantics of ANF terms.
 
 The direct engine reads the program that ``lam.translate`` writes for
-the general engine.  The program is shared; the equations are not.
-``labels``, ``grafts``, ``callee``, ``scope`` and ``callee_ctx`` are
-specialized to images of the translation and written independently of
-the six general equations.  ``scope`` is single-valued: on images of the
-translation the caller at each upward step is unique, and a violation
-raises AmbiguousCaller.
+the general engine (``extract`` is ``translate``).  The program is
+shared; the equations are not.  ``labels``, ``grafts``, ``callee``,
+``scope`` and ``callee_ctx`` are specialized to images of the
+translation and written independently of the six general equations;
+they are the direct engine's own code.  ``scope`` is single-valued: on
+images of the translation the caller at each upward step is unique, and
+a violation raises AmbiguousCaller.
 
 The machinery is shared: the direct equations run on the interned path
-ids of the general evaluator's trie (``semantics.InternedContext``), under
-its ``equation`` kernel (memo tables, in-flight cycle markers, fuel).
-Only ``labels`` is public; it takes a path, and a divergence's witness is
-the query as asked, on paths.
+ids of the general evaluator's trie (``semantics.InternedContext``), read
+back to paths by ``syntax.trie_path``, under its ``equation`` kernel
+(memo tables, in-flight cycle markers, fuel); ``callee*`` is the
+kernel's ``closure`` body over ``callee``, as ``bases*`` is over
+``bases``.  Only ``labels`` is public; it takes a path, and a
+divergence's witness is the query as asked, on paths.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ from __future__ import annotations
 from .lam import (
     DEFAULT_MAX_DEPTH,
     ConvergenceReport,
-    FreeVariableError,
-    SyntheticNameCollision,
-    Term,
     _scan_result_chain,
     translate,
 )
@@ -31,6 +31,7 @@ from .semantics import (
     DEFAULT_FUEL,
     InternedContext,
     ScopeUnderflowError,
+    closure,
     equation,
 )
 from .syntax import CoreProgram, Path
@@ -47,13 +48,9 @@ class AmbiguousCaller(Exception):
         self.candidates = candidates
 
 
-def extract(t: Term) -> CoreProgram:
-    """``translate(t)``; ValueError on any term that ``translate``
-    rejects (not ANF, open, or a synthetic let-name)."""
-    try:
-        return translate(t)
-    except (FreeVariableError, SyntheticNameCollision) as exc:
-        raise ValueError(str(exc)) from exc
+# Every term that translate rejects (not ANF, open, or a synthetic
+# let-name) raises a ValueError.
+extract = translate
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +90,7 @@ class DirectContext(InternedContext):
                     out.add(self._child(p_graft, last))
         return frozenset(out)
 
-    @equation("callee*")
-    def _callee_star(self, p: int) -> frozenset[int]:
-        seen = {p}
-        work = [p]
-        while work:
-            q = work.pop()
-            for c in self._callee(q):
-                if c not in seen:
-                    seen.add(c)
-                    work.append(c)
-        return frozenset(seen)
+    _callee_star = equation("callee*")(closure("_callee"))
 
     @equation("callee")
     def _callee(self, p: int) -> frozenset[int]:
@@ -129,9 +116,7 @@ class DirectContext(InternedContext):
         if p_def == 0:
             raise ScopeUnderflowError(f"scope step above the root (n={n} remaining)")
         callers = {
-            context
-            for context, p_graft in self._callee_ctx(p_site)
-            if p_graft == p_def
+            context for context, grafts in self._callee_ctx(p_site) if p_def in grafts
         }
         if len(callers) != 1:
             path = self._paths
@@ -143,14 +128,12 @@ class DirectContext(InternedContext):
         return self._scope((caller, self._parent[p_def], n - 1))
 
     @equation("callee_ctx")
-    def _callee_ctx(self, p: int) -> frozenset:
+    def _callee_ctx(self, p: int) -> tuple:
+        """The callee contexts of ``p``, factored by callee: one
+        ``(parent(s), grafts(s))`` entry per ``s`` in ``callee*(p)``, in its
+        iteration order, each grafts set the one its memo holds."""
         parent = self._parent
-        pairs = set()
-        for p_step in self._callee_star(p):
-            context = parent[p_step]
-            for p_graft in self._grafts(p_step):
-                pairs.add((context, p_graft))
-        return frozenset(pairs)
+        return tuple((parent[s], self._grafts(s)) for s in self._callee_star(p))
 
 
 def converges_direct(

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .semantics import DivergenceError, EvalContext
+from .semantics import DEFAULT_FUEL, DivergenceError, EvalContext
 from .syntax import (
     CoreProgram,
     parse,
@@ -167,12 +167,12 @@ def _eval_expectation(ctx: EvalContext, exp: Expectation) -> str:
     raise AssertionError(exp.op)
 
 
-def run_expectations(name: str, fuel: int | None = None) -> list[ExpectationResult]:
+def run_expectations(name: str, fuel: int = DEFAULT_FUEL) -> list[ExpectationResult]:
     fix = fixture(name)
     program = fix.program()
     out = []
     for exp in fix.expectations:
-        ctx = EvalContext(program, **({"fuel": fuel} if fuel else {}))
+        ctx = EvalContext(program, fuel=fuel)
         try:
             actual = _eval_expectation(ctx, exp)
         except DivergenceError as exc:

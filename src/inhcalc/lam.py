@@ -39,11 +39,11 @@ class LambdaParseError(Exception):
     pass
 
 
-class FreeVariableError(Exception):
+class FreeVariableError(ValueError):
     pass
 
 
-class SyntheticNameCollision(Exception):
+class SyntheticNameCollision(ValueError):
     pass
 
 
@@ -458,9 +458,10 @@ class _Translation:
 def translate(t: Term) -> CoreProgram:
     """The record program of a closed ANF term.
 
-    Raises ValueError if t is not in ANF, FreeVariableError if it is open,
-    and SyntheticNameCollision if a let-name is a synthetic label; a term
-    with several faults raises for the first one the walk meets.
+    Raises a ValueError on every rejected term: a plain one if t is not in
+    ANF, FreeVariableError if it is open, and SyntheticNameCollision if a
+    let-name is a synthetic label; a term with several faults raises for
+    the first one the walk meets.
     """
     translation = _Translation()
     translation.comp(t, 0, 0)

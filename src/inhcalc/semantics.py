@@ -19,11 +19,9 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .syntax import CoreProgram, Node, Path, path_text
+from .syntax import EMPTY_NODE, CoreProgram, Node, Path, path_text, trie_path
 
 DEFAULT_FUEL = 1_000_000
-
-_NO_NODE = Node()
 
 
 class _AboveRoot:
@@ -116,6 +114,25 @@ def equation(tag: str):
     return decorate
 
 
+def closure(step: str):
+    """The body of the reflexive-transitive closure of the equation method
+    named ``step``: a membership-checked worklist, so ids that step to each
+    other have a finite closure."""
+
+    def body(self, p: int) -> frozenset[int]:
+        step_of = getattr(self, step)
+        seen = {p}
+        work = [p]
+        while work:
+            for q in step_of(work.pop()):
+                if q not in seen:
+                    seen.add(q)
+                    work.append(q)
+        return frozenset(seen)
+
+    return body
+
+
 class InternedContext:
     """A memoized evaluation on interned path ids: the fuel and memo tables
     that the ``equation`` kernel reads, and a (parent, label) trie of the
@@ -158,7 +175,7 @@ class InternedContext:
         kids.append({})
         self._parent.append(i)
         self._label.append(label)
-        self._node.append(_NO_NODE)
+        self._node.append(EMPTY_NODE)
         return j
 
     def _child(self, i: int, label: str) -> int:
@@ -185,11 +202,7 @@ class InternedContext:
         trie."""
         if isinstance(ids, frozenset):
             return frozenset(map(self._paths, ids))
-        labels, i = [], ids
-        while i:
-            labels.append(self._label[i])
-            i = self._parent[i]
-        return tuple(reversed(labels))
+        return trie_path(self, ids)
 
     def _witness(self, tag: str, key) -> tuple:
         """The path-valued witness of a divergent query on ids.  A key is
@@ -226,19 +239,7 @@ class EvalContext(InternedContext):
         parent = self._parent
         return tuple((parent[b], self._overrides(b)) for b in self._bases_star(p))
 
-    @equation("bases*")
-    def _bases_star(self, p: int) -> frozenset[int]:
-        """Reflexive-transitive closure of ``bases`` via a membership-checked
-        worklist, so mutually referencing siblings have a finite closure."""
-        seen = {p}
-        work = [p]
-        while work:
-            q = work.pop()
-            for b in self._bases(q):
-                if b not in seen:
-                    seen.add(b)
-                    work.append(b)
-        return frozenset(seen)
+    _bases_star = equation("bases*")(closure("_bases"))
 
     @equation("overrides")
     def _overrides(self, p: int) -> frozenset[int]:

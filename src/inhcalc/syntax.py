@@ -251,7 +251,18 @@ class Node:
     inherits: frozenset[Reference] = frozenset()
 
 
-_EMPTY_NODE = Node()
+EMPTY_NODE = Node()
+
+
+def trie_path(trie, i: int) -> Path:
+    """The path of id ``i`` in the (parent, label) trie of ``trie``, a
+    ``CoreProgram`` or an evaluation context that adopts one, read up the
+    trie."""
+    parent, label, labels = trie._parent, trie._label, []
+    while i:
+        labels.append(label[i])
+        i = parent[i]
+    return tuple(reversed(labels))
 
 
 class CoreProgram:
@@ -278,10 +289,10 @@ class CoreProgram:
         self._parent: list = [None]
         self._label: list = [None]
         self._kids: list[dict[str, int]] = [{}]
-        self._node: list = [_EMPTY_NODE]
+        self._node: list = [EMPTY_NODE]
         self._table: dict[Path, Node] | None = None
 
-    def _add(self, i: int, label: str, node=_EMPTY_NODE) -> int:
+    def _add(self, i: int, label: str, node=EMPTY_NODE) -> int:
         """Add the child ``label`` of id ``i``, which has none yet, with its
         node."""
         j = self._kids[i][label] = len(self._node)
@@ -290,14 +301,6 @@ class CoreProgram:
         self._kids.append({})
         self._node.append(node)
         return j
-
-    def _path(self, i: int) -> Path:
-        """The path of id ``i``, read up the trie."""
-        labels = []
-        while i:
-            labels.append(self._label[i])
-            i = self._parent[i]
-        return tuple(reversed(labels))
 
     @property
     def nodes(self) -> Mapping[Path, Node]:
@@ -317,10 +320,10 @@ class CoreProgram:
         return self._table
 
     def defines(self, p: Path) -> frozenset[str]:
-        return self._nodes().get(p, _EMPTY_NODE).defines
+        return self._nodes().get(p, EMPTY_NODE).defines
 
     def inherits(self, p: Path) -> frozenset[Reference]:
-        return self._nodes().get(p, _EMPTY_NODE).inherits
+        return self._nodes().get(p, EMPTY_NODE).inherits
 
     def paths(self) -> list[Path]:
         return sorted(self._nodes())
@@ -403,7 +406,7 @@ def _resolve_one(ref: SurfaceRef, i: int, surface: CoreProgram) -> Reference:
             j, n = parent[j], n + 1
         raise ResolutionError(
             "NamedNotFound",
-            f"this@{ref.up} at path {path_text(surface._path(i))}: "
+            f"this@{ref.up} at path {path_text(trie_path(surface, i))}: "
             "label does not name an enclosing scope",
         )
     if isinstance(ref, LexicalRef):
@@ -414,7 +417,7 @@ def _resolve_one(ref: SurfaceRef, i: int, surface: CoreProgram) -> Reference:
             j, n = parent[j], n + 1
         raise ResolutionError(
             "LexicalNotFound",
-            f"{'.'.join(ref.downs)} at path {path_text(surface._path(i))}: "
+            f"{'.'.join(ref.downs)} at path {path_text(trie_path(surface, i))}: "
             f"no enclosing scope defines {head!r}",
         )
     raise TypeError(f"unknown reference form: {ref!r}")
@@ -461,11 +464,11 @@ def render(prog: CoreProgram) -> str:
     """
 
     def render_body(p: Path) -> str:
-        node = prog.nodes.get(p, _EMPTY_NODE)
+        node = prog.nodes.get(p, EMPTY_NODE)
         parts = [ref_text(r) for r in sorted(node.inherits)]
         for label in sorted(node.defines):
             child = p + (label,)
-            cnode = prog.nodes.get(child, _EMPTY_NODE)
+            cnode = prog.nodes.get(child, EMPTY_NODE)
             if not cnode.defines and len(cnode.inherits) == 1:
                 (only,) = cnode.inherits
                 parts.append(f"{label} = {ref_text(only)}")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import is_path, labels_struct, properties_struct
+from test_semantics import _program_texts
 from inhcalc.anf_direct import (
     AmbiguousCaller,
     DirectContext,
@@ -19,7 +20,9 @@ from inhcalc.lam import (
     NAMED_TERMS,
     Abs,
     App,
+    FreeVariableError,
     Let,
+    SyntheticNameCollision,
     Var,
     anf_transform,
     converges,
@@ -29,6 +32,7 @@ from inhcalc.lam import (
     translate_surface,
 )
 from inhcalc.semantics import (
+    ABOVE_ROOT,
     DEFAULT_FUEL,
     DivergenceError,
     EvalContext,
@@ -81,6 +85,29 @@ def test_extract_rejects_non_anf_and_open_terms():
         extract(parse_lambda("x", allow_free=True))
     with pytest.raises(ValueError):
         extract(Abs("x", Let("result", App(Var("x"), Var("x")), Var("result"))))
+
+
+# One term per rejection of translate: not ANF, open, a synthetic let-name.
+_REJECTED = {
+    "not ANF": (parse_lambda(r"(\x. x x) (\y. y) (\z. z)"), ValueError),
+    "open": (parse_lambda("x", allow_free=True), FreeVariableError),
+    "synthetic": (
+        Abs("x", Let("result", App(Var("x"), Var("x")), Var("result"))),
+        SyntheticNameCollision,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED))
+def test_extract_raises_what_translate_raises(name):
+    term, kind = _REJECTED[name]
+    assert issubclass(kind, ValueError)
+    with pytest.raises(ValueError) as by_translate:
+        translate(term)
+    with pytest.raises(ValueError) as by_extract:
+        extract(term)
+    assert type(by_extract.value) is type(by_translate.value) is kind
+    assert str(by_extract.value) == str(by_translate.value)
 
 
 def test_extract_views_the_translate_table():
@@ -274,6 +301,48 @@ def test_scope_step_with_no_caller_raises_ambiguous_caller():
         "scope step at site ('Y',) for definition scope ('X', 'b') "
         "found 0 caller(s): []"
     )
+
+
+def _check_callee_ctx(prog):
+    """callee_ctx(p) = {(parent(s), g) | s in callee*(p), g in grafts(s)},
+    held as one (parent(s), grafts(s)) entry per s; and a scope step's
+    callers are the contexts of the pairs whose graft is its definition
+    scope."""
+    ctx = DirectContext(prog, fuel=50_000)
+    ids = [ctx._intern(p) for p in prog.paths()]
+    for i in ids:
+        try:
+            star, entries = ctx._callee_star(i), ctx._callee_ctx(i)
+        except (DivergenceError, ScopeUnderflowError, AmbiguousCaller):
+            continue
+        assert len(entries) == len(star)
+        for s, (context, grafts) in zip(star, entries):
+            path = ctx._paths(s)
+            assert context == (ctx._intern(path[:-1]) if path else ABOVE_ROOT)
+            assert grafts is ctx._grafts(s)
+        pairs = {(context, g) for context, grafts in entries for g in grafts}
+        for p_def in ids[1:]:
+            callers = {context for context, g in pairs if g == p_def}
+            try:
+                got = ctx._scope((i, p_def, 1))
+            except AmbiguousCaller as exc:
+                assert len(callers) != 1
+                assert exc.candidates == set(map(ctx._paths, callers))
+            except (DivergenceError, ScopeUnderflowError):
+                continue
+            else:
+                assert callers == {got}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_program_texts())
+def test_callee_ctx_is_the_comprehension_over_callee_star_and_grafts(src):
+    _check_callee_ctx(parse_program(src))
+
+
+def test_callee_ctx_is_the_comprehension_on_translated_terms():
+    for _, anf in corpus_terms(6):
+        _check_callee_ctx(translate(anf))
 
 
 def test_labels_match_properties_on_sample():

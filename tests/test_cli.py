@@ -176,6 +176,22 @@ def test_lambda_primed_identifier_is_input_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["translate", "converges", "bohm"])
+def test_lambda_open_term_is_input_error(runner, command):
+    # FreeVariableError is a ValueError, as SyntheticNameCollision is; the
+    # CLI still reports each as one input error.
+    result = runner.invoke(main, ["lambda", command, "x y"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: term is not closed; free variables: ['x', 'y']\n"
+
+
+def test_lambda_non_anf_term_is_transformed_first(runner):
+    # Every command ANF-transforms its term, so translate's not-ANF
+    # rejection never reaches the CLI.
+    result = runner.invoke(main, ["lambda", "translate", r"(\x. x x) (\y. y) (\z. z)"])
+    assert result.exit_code == 0
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
