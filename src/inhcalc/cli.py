@@ -241,18 +241,21 @@ def fixtures_run(name, fuel):
 @click.option("--fuel", type=click.IntRange(min=1), default=10_000,
               envvar="INHCALC_FUEL", show_default=True)
 @max_depth_option
-@click.option("--assert-single-path", is_flag=True,
-              help="Exit 1 if any scope step is multi-path (every sweep "
-                   "counts them).")
-def corpus(size, fuel, max_depth, assert_single_path):
-    """Sweep the small-term corpus against the oracle; print verdicts."""
+def corpus(size, fuel, max_depth):
+    """Sweep the small-term corpus against the oracle; print verdicts.
+    Exit 1 if any check of the summary fails: a contradiction, a split
+    between the engines, a depth past the oracle's steps, or a multi-path
+    scope step."""
     verdicts = corpus_mod.sweep(max_size=size, fuel=fuel, max_depth=max_depth)
     for v in verdicts:
         click.echo(v.row())
     summary = corpus_mod.summarize(verdicts)
     click.echo(json.dumps(summary, sort_keys=True))
-    bad = summary["contradictions"] > 0 or (
-        assert_single_path and summary["single_path_violations"] > 0
+    bad = (
+        summary["contradictions"] > 0
+        or not summary["direct_agrees"]
+        or not summary["depth_bounded_by_steps"]
+        or summary["single_path_violations"] > 0
     )
     if bad:
         sys.exit(EXIT_DIVERGED)

@@ -19,7 +19,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .syntax import EMPTY_NODE, CoreProgram, Node, Path, path_text, trie_path
+from .syntax import CoreProgram, Node, Path, path_text, trie_path
 
 DEFAULT_FUEL = 1_000_000
 
@@ -141,9 +141,10 @@ class InternedContext:
     An id's memo key hashes in O(1), a step to a known parent or child
     allocates nothing, and a path that extends the last one interned
     costs one dict lookup per label beyond it; any other path costs one
-    per label.  The context copies the program's per-id lists and copies
-    an adopted id's children dict the first time it adds to it, so
-    evaluation never changes the program; a path it adds holds no node.
+    per label.  The context copies the program's per-id lists, whose nodes
+    are ``Node``s, and copies an adopted id's children dict the first time
+    it adds to it; it adds ids with ``CoreProgram._add``, each with the
+    empty node, so evaluation never changes the program.
     Paths are built only on the way out: public methods of a subclass
     intern their arguments and map their results back to paths, and a
     divergence is path-valued where it is raised, by ``_witness``.
@@ -171,12 +172,7 @@ class InternedContext:
         kids = self._kids
         if i < self._adopted and kids[i] is self.program._kids[i]:
             kids[i] = dict(kids[i])
-        j = kids[i][label] = len(kids)
-        kids.append({})
-        self._parent.append(i)
-        self._label.append(label)
-        self._node.append(EMPTY_NODE)
-        return j
+        return CoreProgram._add(self, i, label)
 
     def _child(self, i: int, label: str) -> int:
         """The id of the child ``label`` of id ``i``.  No child is the

@@ -18,8 +18,8 @@ desugared form, a ``Reference(n, downs)``: ``n`` counts enclosing scope
 levels upward (``n = 0`` is the scope enclosing the record that contains
 the reference) and ``downs`` is a list of downward projections.
 ``resolve_references`` desugars the named and lexical forms to the same
-representation and writes the program anew in sorted path order, so the
-source's order does not reach evaluation.
+representation and writes the program anew in sorted path order, with
+``Node`` nodes, so the source's order does not reach evaluation.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import re
 import string
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 Label = str
 Path = tuple[str, ...]
@@ -245,10 +246,14 @@ def parse(source: str) -> CoreProgram:
 # Core program and reference resolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
+    """A resolved record node: its labels, and its references as a sorted
+    tuple with no duplicates, so the equations follow them in an order
+    that does not depend on the hash seed.  It unpacks like the
+    ``(labels, references)`` pairs that ``parse`` writes."""
+
     defines: frozenset[str] = frozenset()
-    inherits: frozenset[Reference] = frozenset()
+    inherits: tuple[Reference, ...] = ()
 
 
 EMPTY_NODE = Node()
@@ -270,19 +275,15 @@ class CoreProgram:
     id its parent id, last label, children by label and node.  The root
     is id 0 and every id is larger than its parent's.  ``CoreProgram()``
     is one empty root record, which a writer extends with ``_add``:
-    ``parse`` with ``(labels, references)`` surface nodes, and
-    ``resolve_references`` and ``lam.translate`` with ``Node``s.  A node
-    with several references holds them as a sorted tuple, so the order
-    the equations follow them in, and with it the fuel spent before an
-    error, does not depend on the hash seed; ``lam.translate`` writes
-    each single reference as a 1-tuple too, so it hashes no reference.
-    Evaluation contexts adopt these ids as their first ids and never
-    change them.
+    ``parse`` with ``(labels, references)`` pairs of dicts, and
+    ``resolve_references`` and ``lam.translate`` with ``Node``s.
+    Evaluation contexts adopt these ids as their first ids, add their own
+    with ``_add`` on their copies of the lists, and never change the
+    program's.
 
-    ``nodes`` is a read-only path-keyed view of a program of ``Node``s
-    (a surface program is read by id), with every reference tuple read
-    back as a frozenset.  Lookups on paths never mentioned
-    in the source return empty sets.
+    ``nodes`` is a read-only path-keyed view of the program's own nodes.
+    ``defines`` and ``inherits`` read a path's labels and references as
+    frozensets, empty on paths never mentioned in the source.
     """
 
     def __init__(self):
@@ -312,18 +313,14 @@ class CoreProgram:
             paths: list[Path] = [ROOT]
             for i in range(1, len(self._node)):
                 paths.append(paths[self._parent[i]] + (self._label[i],))
-            self._table = {
-                paths[i]: Node(node.defines, frozenset(node.inherits))
-                if type(node.inherits) is tuple else node
-                for i, node in enumerate(self._node)
-            }
+            self._table = dict(zip(paths, self._node))
         return self._table
 
     def defines(self, p: Path) -> frozenset[str]:
         return self._nodes().get(p, EMPTY_NODE).defines
 
     def inherits(self, p: Path) -> frozenset[Reference]:
-        return self._nodes().get(p, EMPTY_NODE).inherits
+        return frozenset(self._nodes().get(p, EMPTY_NODE).inherits)
 
     def paths(self) -> list[Path]:
         return sorted(self._nodes())
@@ -358,8 +355,10 @@ class _NodeView(Mapping):
 
 
 def resolve_references(surface: CoreProgram) -> CoreProgram:
-    """Desugar all references of a surface program to de Bruijn pairs,
-    writing the program anew in sorted path order.
+    """Desugar all references of a program to de Bruijn pairs, writing it
+    anew in sorted path order with ``Node`` nodes.  Any program reads: a
+    surface one, or a resolved one, whose references are desugared
+    already, so a resolved program in sorted path order reads as itself.
 
     * named ``this@L.downs`` at path p: target the last occurrence of L
       among the labels of p; ``n = |p| - |p_target| - 1``.
@@ -385,10 +384,8 @@ def resolve_references(surface: CoreProgram) -> CoreProgram:
     for i, j in enumerate(new):
         if j is not None:
             labels, refs = node[i]
-            inherits = frozenset(_resolve_one(ref, i, surface) for ref in refs)
-            if len(inherits) > 1:
-                inherits = tuple(sorted(inherits))
-            program._node[j] = Node(frozenset(labels), inherits)
+            inherits = {_resolve_one(ref, i, surface) for ref in refs}
+            program._node[j] = Node(frozenset(labels), tuple(sorted(inherits)))
     return program
 
 

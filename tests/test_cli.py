@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from inhcalc import corpus as corpus_mod
 from inhcalc.cli import main
 from inhcalc.fixtures import FIXTURE_NAMES
 
@@ -236,10 +237,37 @@ def test_corpus_small_sweep(runner):
 def test_corpus_assert_single_path(runner):
     result = runner.invoke(
         main,
-        ["corpus", "--size", "4", "--fuel", "2000", "--assert-single-path"],
+        ["corpus", "--size", "4", "--fuel", "2000"],
     )
     assert result.exit_code == 0
     assert json.loads(result.output.splitlines()[-1])["single_path_violations"] == 0
+
+
+_PASSING_SUMMARY = {
+    "contradictions": 0,
+    "direct_agrees": True,
+    "depth_bounded_by_steps": True,
+    "single_path_violations": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "failed",
+    [
+        None,
+        {"contradictions": 1},
+        {"direct_agrees": False},
+        {"depth_bounded_by_steps": False},
+        {"single_path_violations": 2},
+    ],
+    ids=["passing", "contradiction", "engines-split", "depth-past-steps", "multi-path"],
+)
+def test_corpus_exits_1_on_any_failed_check(runner, monkeypatch, failed):
+    summary = {**_PASSING_SUMMARY, **(failed or {})}
+    monkeypatch.setattr(corpus_mod, "summarize", lambda verdicts: summary)
+    result = runner.invoke(main, ["corpus", "--size", "1"])
+    assert result.exit_code == (0 if failed is None else 1), failed
+    assert json.loads(result.output.splitlines()[-1]) == summary
 
 
 # ---------------------------------------------------------------------------

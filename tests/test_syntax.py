@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutated_text
+from test_semantics import _program_texts
+from inhcalc.corpus import corpus_terms
+from inhcalc.fixtures import FIXTURE_NAMES, FRAGMENT_DEPS, fixture, fragment_program
+from inhcalc.lam import translate
 from inhcalc.syntax import (
+    Node,
     ParseError,
     Reference,
     ResolutionError,
@@ -14,6 +19,7 @@ from inhcalc.syntax import (
     parse_program,
     path_text,
     render,
+    resolve_references,
 )
 
 # ---------------------------------------------------------------------------
@@ -240,3 +246,46 @@ def test_render_parse_round_trip(src):
     assert again == prog
     # rendering is a fixpoint after one pass
     assert render(again) == render(prog)
+
+
+# ---------------------------------------------------------------------------
+# The resolved node format
+# ---------------------------------------------------------------------------
+
+def _assert_resolved_nodes(prog):
+    """Every node is a ``Node`` of a frozenset of labels and a sorted tuple
+    of references with no duplicates."""
+    for i, node in enumerate(prog._node):
+        assert type(node) is Node, i
+        defines, inherits = node
+        assert type(defines) is frozenset, i
+        assert type(inherits) is tuple and list(inherits) == sorted(set(inherits)), i
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_resolved_fixture_nodes_are_one_format(name):
+    _assert_resolved_nodes(fixture(name).program())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_program_texts())
+def test_resolved_nodes_are_one_format(src):
+    _assert_resolved_nodes(parse_program(src))
+
+
+def test_translated_nodes_are_one_format():
+    for _, t in corpus_terms(8):
+        _assert_resolved_nodes(translate(t))
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("fixture", name) for name in FIXTURE_NAMES]
+    + [("fragment", name) for name in FRAGMENT_DEPS],
+)
+def test_resolve_references_reads_a_resolved_program_as_itself(kind, name):
+    prog = fixture(name).program() if kind == "fixture" else fragment_program(name)
+    again = resolve_references(prog)
+    assert again == prog and render(again) == render(prog)
+    assert again._parent == prog._parent and again._label == prog._label
+    assert again._node == prog._node
