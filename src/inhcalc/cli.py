@@ -212,7 +212,7 @@ def fixtures_group():
 
 @fixtures_group.command(name="list")
 def fixtures_list():
-    for name in fixtures_mod.fixture_names():
+    for name in fixtures_mod.FIXTURE_NAMES:
         click.echo(name)
 
 
@@ -221,9 +221,9 @@ def fixtures_list():
 @fuel_option
 def fixtures_run(name, fuel):
     """Evaluate pinned expectations for one fixture, or all of them."""
-    if name is not None and name not in fixtures_mod.fixture_names():
+    if name is not None and name not in fixtures_mod.FIXTURE_NAMES:
         _fail_input(f"unknown fixture {name!r}")
-    names = [name] if name else list(fixtures_mod.fixture_names())
+    names = [name] if name else fixtures_mod.FIXTURE_NAMES
     failed = 0
     for n in names:
         for result in fixtures_mod.run_expectations(n, fuel=fuel):

@@ -117,10 +117,6 @@ def fixture(name: str) -> Fixture:
     return Fixture(name, _read(name, "inh"), _parse_expectations(_read(name, "expect")))
 
 
-def fixture_names() -> tuple[str, ...]:
-    return FIXTURE_NAMES
-
-
 # ---------------------------------------------------------------------------
 # Expectation evaluation
 # ---------------------------------------------------------------------------

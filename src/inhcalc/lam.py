@@ -2,7 +2,8 @@
 
 Contains four independent pieces:
 
-* a parser and ANF normalizer for closed lambda-terms;
+* a parser for closed lambda-terms, on the record parser's reader
+  (``syntax._Reader``), and an ANF normalizer;
 * the five-rule translation from ANF terms to inheritance records;
 * the inheritance-convergence check (scan the ``result`` chain for the
   abstraction shape);
@@ -14,7 +15,6 @@ Contains four independent pieces:
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass
 
 from .semantics import (
@@ -27,6 +27,9 @@ from .syntax import (
     Node,
     Path,
     Reference,
+    _BASE_KINDS,
+    _IDENT,
+    _Reader,
     resolve_references,  # noqa: F401  (bench/layers.py traces lam.resolve_references)
 )
 
@@ -116,43 +119,21 @@ def term_text(t: Term) -> str:
 # Parser: \x. M, left-associative juxtaposition, let x = M in N, parens
 # ---------------------------------------------------------------------------
 
-# One match per token or whitespace run; only tokens fill the group.  The
-# last alternative takes everything from an unexpected character to the
-# end of the input, so only the last token can be one.
-_LAM_TOKEN_RE = re.compile(r"\s+|([\\λ().=]|[A-Za-z_][A-Za-z0-9_]*|[\s\S]+)")
+_LAM_TOKEN_RE = re.compile(rf"\s+|([\\λ().=]|{_IDENT}|[\s\S]+)")
 _LAM_KIND = {
-    "": "eof", "let": "let", "in": "in",
+    **_BASE_KINDS, "let": "let", "in": "in",
     "\\": "lam", "λ": "lam", "(": "lp", ")": "rp", ".": "dot", "=": "eq",
-    **dict.fromkeys(string.ascii_letters + "_", "ident"),
 }
 
 
-def _lam_tokens(text: str) -> tuple[list[str], list[str]]:
-    """The kinds and the texts of the tokens, ending with kind ``eof`` and
-    text ``""``.  A token's kind comes from its text (``let``, ``in``,
-    punctuation and the end of input) or else from its first character."""
-    texts = list(filter(None, _LAM_TOKEN_RE.findall(text)))
-    if texts and texts[-1][0] not in _LAM_KIND:
-        pos = len(text) - len(texts[-1])
-        raise LambdaParseError(f"unexpected character {text[pos]!r} at {pos}")
-    texts.append("")
-    return [_LAM_KIND.get(tok) or _LAM_KIND[tok[0]] for tok in texts], texts
-
-
-class _LamParser:
-    """Recursive descent over the token kinds and texts, read by index."""
+class _LamParser(_Reader):
+    """Recursive descent over the shared reader's token kinds and texts."""
 
     def __init__(self, text: str):
-        self.kinds, self.texts = _lam_tokens(text)
-        self.i = 0
+        super().__init__(text, _LAM_TOKEN_RE, _LAM_KIND)
 
-    def expect(self, kind: str) -> str:
-        """The text of the next token, which must be of ``kind``."""
-        i = self.i
-        if self.kinds[i] != kind:
-            raise LambdaParseError(f"expected {kind}, found {self.kinds[i]}")
-        self.i = i + 1
-        return self.texts[i]
+    def error(self, message: str, pos: int | None = None):
+        raise LambdaParseError(message if pos is None else f"{message} at {pos}")
 
     def parse(self) -> Term:
         t = self.parse_term()
@@ -196,17 +177,15 @@ class _LamParser:
             t = self.parse_term()
             self.expect("rp")
             return t
-        raise LambdaParseError(f"unexpected token {kind}")
+        self.error(f"unexpected token {kind}")
 
 
-def parse_lambda(text: str, allow_free: bool = False) -> Term:
+def parse_lambda(text: str) -> Term:
+    """Parse a closed term; a free variable raises ``FreeVariableError``."""
     term = _LamParser(text).parse()
-    if not allow_free:
-        free = free_vars(term)
-        if free:
-            raise FreeVariableError(
-                f"term is not closed; free variables: {sorted(free)}"
-            )
+    free = free_vars(term)
+    if free:
+        raise FreeVariableError(f"term is not closed; free variables: {sorted(free)}")
     return term
 
 

@@ -8,6 +8,10 @@ References come in three surface forms:
 * indexed    -- ``^2.a.b`` carries an explicit de Bruijn scope count
 * lexical    -- ``a.b`` names a sibling (or outer) definition by its head
 
+One reader, ``_Reader``, tokenizes and walks both surface grammars, this
+one and ``lam``'s λ-terms; each parser subclasses it with its grammar and
+its error type.
+
 ``parse`` writes the surface program, a ``CoreProgram`` trie whose ids
 follow the order of first appearance and whose nodes are ``(labels,
 references)`` pairs: each record literal adds its labels and references
@@ -34,8 +38,6 @@ Label = str
 Path = tuple[str, ...]
 
 ROOT: Path = ()
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class ParseError(Exception):
@@ -89,15 +91,53 @@ SurfaceRef = NamedRef | LexicalRef | Reference
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-# One match per token, whitespace run or comment; only tokens fill the
-# group.  Names and numbers are ASCII; whitespace is any ``\s``.  The last
-# alternative takes everything from an unexpected character to the end of
-# the input, so only the last token can be one.
-_TOKEN_RE = re.compile(
-    r"\s+|#[^\n]*|(this@|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[{}=,.^]|[\s\S]+)"
-)
+# The identifier pattern of both grammars and of query paths: ASCII.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+IDENT_RE = re.compile(_IDENT + r"\Z")
+
+# Kinds that both grammars share: the end of input, and any token that
+# starts like a name.
+_BASE_KINDS = {"": "eof", **dict.fromkeys(string.ascii_letters + "_", "ident")}
+
+
+class _Reader:
+    """The tokenizer and cursor of both grammars.
+
+    ``pattern`` makes one match per token, whitespace run or comment, and
+    only tokens fill its group; its last alternative takes everything from
+    an unexpected character to the end of the input, so only the last
+    token can be one.  ``kinds`` names a token's kind by its text, or else
+    by its first character.  ``texts`` and ``kinds`` end with the end of
+    input, text ``""`` and kind ``eof``, and ``i`` is the cursor.  A
+    subclass raises its own errors in ``error(message, pos=None)``, where
+    ``pos`` is an offset into the source if known.
+    """
+
+    def __init__(self, source: str, pattern: re.Pattern, kinds: dict[str, str]):
+        self.source = source
+        texts = list(filter(None, pattern.findall(source)))
+        if texts and texts[-1][0] not in kinds:
+            self.error(
+                f"unexpected character {texts[-1][0]!r}", len(source) - len(texts[-1])
+            )
+        texts.append("")
+        self.texts = texts
+        self.kinds = [kinds.get(t) or kinds[t[0]] for t in texts]
+        self.i = 0
+
+    def expect(self, kind: str) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        i = self.i
+        if self.kinds[i] != kind:
+            self.error(f"expected {kind}, found {self.kinds[i]}")
+        self.i = i + 1
+        return self.texts[i]
+
+
+# Whitespace is any ``\s``; a comment runs from ``#`` to the end of the line.
+_TOKEN_RE = re.compile(rf"\s+|#[^\n]*|(this@|{_IDENT}|[0-9]+|[{{}}=,.^]|[\s\S]+)")
 _KIND = {
-    "": "eof",
+    **_BASE_KINDS,
     "this@": "thisat",
     "{": "lb",
     "}": "rb",
@@ -106,38 +146,7 @@ _KIND = {
     ".": "dot",
     "^": "caret",
     **dict.fromkeys("0123456789", "nat"),
-    **dict.fromkeys(string.ascii_letters + "_", "ident"),
 }
-
-
-def _kind(token: str) -> str:
-    """A token's kind: ``this@`` and the end of input by their text, any
-    other token by its first character."""
-    return _KIND.get(token) or _KIND[token[0]]
-
-
-# The parser tests a token's kind without ``_kind``, which names kinds in
-# error messages: a fixed-text kind by its text, ``ident`` and ``nat`` by
-# ``str`` methods that hold for exactly those of the tokenizer's tokens
-# (``this@`` is no identifier).
-_IS_KIND = {
-    "lb": "{".__eq__,
-    "rb": "}".__eq__,
-    "ident": str.isidentifier,
-    "nat": str.isdigit,
-}
-
-
-def _tokenize(source: str) -> list[str]:
-    """Token texts, ending with ``""`` for the end of input."""
-    tokens = list(filter(None, _TOKEN_RE.findall(source)))
-    if tokens and tokens[-1][0] not in _KIND:
-        pos = len(source) - len(tokens[-1])
-        raise ParseError(
-            f"unexpected character {source[pos]!r}", *_line_column(source, pos)
-        )
-    tokens.append("")
-    return tokens
 
 
 def _line_column(source: str, pos: int) -> tuple[int, int]:
@@ -154,44 +163,36 @@ def _token_offset(source: str, index: int) -> int:
     return len(source)
 
 
-class _Parser:
+class _Parser(_Reader):
     def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.i = 0
+        super().__init__(source, _TOKEN_RE, _KIND)
         program = self.program = CoreProgram()
         self.node, self.kids, self.add = program._node, program._kids, program._add
         self.node[0] = ({}, {})
 
-    def error(self, message: str):
-        pos = _token_offset(self.source, self.i)
+    def error(self, message: str, pos: int | None = None):
+        if pos is None:
+            pos = _token_offset(self.source, self.i)
         raise ParseError(message, *_line_column(self.source, pos))
-
-    def expect(self, kind: str) -> str:
-        token = self.tokens[self.i]
-        if not _IS_KIND[kind](token):
-            self.error(f"expected {kind}, found {_kind(token)}")
-        self.i += 1
-        return token
 
     def parse_program(self) -> CoreProgram:
         self.parse_record(0)
-        if self.tokens[self.i]:
+        if self.kinds[self.i] != "eof":
             self.error("trailing input after top-level record")
         return self.program
 
     def parse_record(self, p: int) -> None:
         """Add the record literal at the cursor to the node of id ``p``."""
         self.expect("lb")
-        tokens = self.tokens
-        if tokens[self.i] == "}":
+        kinds = self.kinds
+        if kinds[self.i] == "rb":
             self.i += 1
             return
         while True:
             self.parse_element(p)
-            if tokens[self.i] == ",":
+            if kinds[self.i] == "comma":
                 self.i += 1
-                if tokens[self.i] == "}":  # trailing comma
+                if kinds[self.i] == "rb":  # trailing comma
                     self.i += 1
                     return
                 continue
@@ -199,13 +200,13 @@ class _Parser:
             return
 
     def parse_element(self, p: int) -> None:
-        tokens, i, node = self.tokens, self.i, self.node
-        if tokens[i].isidentifier() and tokens[i + 1] == "=":
+        kinds, i, node = self.kinds, self.i, self.node
+        if kinds[i] == "ident" and kinds[i + 1] == "eq":
             self.i = i + 2
-            label = tokens[i]
+            label = self.texts[i]
             node[p][0][label] = None
             child = self.kids[p].get(label) or self.add(p, label, ({}, {}))
-            if tokens[i + 2] == "{":
+            if kinds[i + 2] == "lb":
                 self.parse_record(child)
             else:
                 # "x = r" sugars to "x = { r }"
@@ -214,23 +215,24 @@ class _Parser:
             node[p][1][self.parse_reference()] = None
 
     def parse_reference(self) -> SurfaceRef:
-        token = self.tokens[self.i]
-        if token == "this@":
-            self.i += 1
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "thisat":
+            self.i = i + 1
             up = self.expect("ident")
             return NamedRef(up, self.parse_downs())
-        if token == "^":
-            self.i += 1
+        if kind == "caret":
+            self.i = i + 1
             n = int(self.expect("nat"))
             return Reference(n, self.parse_downs())
-        if token.isidentifier():
-            self.i += 1
-            return LexicalRef((token,) + self.parse_downs())
+        if kind == "ident":
+            self.i = i + 1
+            return LexicalRef((self.texts[i],) + self.parse_downs())
         self.error("expected an element (definition or reference)")
 
     def parse_downs(self) -> tuple[str, ...]:
         downs = []
-        while self.tokens[self.i] == ".":
+        while self.kinds[self.i] == "dot":
             self.i += 1
             downs.append(self.expect("ident"))
         return tuple(downs)

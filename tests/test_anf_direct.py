@@ -82,7 +82,7 @@ def test_extract_rejects_non_anf_and_open_terms():
     with pytest.raises(ValueError):
         extract(parse_lambda(r"(\x. x x) (\y. y) (\z. z)"))
     with pytest.raises(ValueError):
-        extract(parse_lambda("x", allow_free=True))
+        extract(Var("x"))
     with pytest.raises(ValueError):
         extract(Abs("x", Let("result", App(Var("x"), Var("x")), Var("result"))))
 
@@ -90,7 +90,7 @@ def test_extract_rejects_non_anf_and_open_terms():
 # One term per rejection of translate: not ANF, open, a synthetic let-name.
 _REJECTED = {
     "not ANF": (parse_lambda(r"(\x. x x) (\y. y) (\z. z)"), ValueError),
-    "open": (parse_lambda("x", allow_free=True), FreeVariableError),
+    "open": (Var("x"), FreeVariableError),
     "synthetic": (
         Abs("x", Let("result", App(Var("x"), Var("x")), Var("result"))),
         SyntheticNameCollision,
@@ -139,6 +139,11 @@ def test_direct_omega_undecided():
     report = converges_direct(extract(anf_transform(NAMED_TERMS["omega"])), fuel=10_000)
     assert not report.converged
     assert report.reason in ("Cycle", "FuelExhausted", "DepthExceeded")
+
+
+def test_direct_scan_reports_fuel_exhausted():
+    omega = extract(anf_transform(NAMED_TERMS["omega"]))
+    assert converges_direct(omega, fuel=3).describe() == "not converged: FuelExhausted"
 
 
 def test_direct_agrees_with_general_on_sample():

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inhcalc.corpus import _terms, corpus_terms, enumerate_closed_terms
+from inhcalc.corpus import Verdict, _terms, corpus_terms, enumerate_closed_terms
+from inhcalc.fixtures import fixture
 from inhcalc.lam import (
     Abs,
     App,
     Bottom,
+    ConvergenceReport,
     FreeVariableError,
+    HeadResult,
     HnfNode,
     LambdaParseError,
     Let,
@@ -19,7 +22,7 @@ from inhcalc.lam import (
     SyntheticNameCollision,
     UNEXPANDED,
     Var,
-    _lam_tokens,
+    _LamParser,
     anf_transform,
     bohm_prefix,
     bohm_text,
@@ -71,7 +74,6 @@ def test_parse_lambda_errors():
         parse_lambda(r"\f. let x' = f f in x'")
     with pytest.raises(FreeVariableError):
         parse_lambda("x y")
-    assert parse_lambda("x", allow_free=True) == Var("x")
 
 
 @pytest.mark.parametrize(
@@ -109,6 +111,27 @@ def test_parse_lambda_error_messages(text, error, message):
     with pytest.raises(error) as info:
         parse_lambda(text)
     assert str(info.value) == message
+
+
+# Every token of the λ grammar, plus characters it does not read.
+_LAMBDA_PIECES = [
+    "\\", "λ", "(", ")", ".", "=", "let", "in", "x", "y", "f_1", " ", "\n",
+    "$", "@", "é", "·", "'", "0", "7",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LAMBDA_PIECES), max_size=50).map("".join))
+def test_parse_lambda_raises_only_its_own_errors(text):
+    try:
+        parse_lambda(text)
+    except (LambdaParseError, FreeVariableError):
+        pass
+
+
+def _lam_tokens(text):
+    reader = _LamParser(text)
+    return reader.kinds, reader.texts
 
 
 def test_lambda_tokens_of_every_kind():
@@ -187,7 +210,7 @@ def test_translate_true():
 
 def test_translate_rejects_open_terms():
     with pytest.raises(FreeVariableError):
-        translate(parse_lambda("x", allow_free=True))
+        translate(Var("x"))
 
 
 def test_translate_requires_anf():
@@ -285,6 +308,30 @@ def test_omega_does_not_converge():
     report = converges(prog, fuel=10_000)
     assert not report.converged
     assert report.reason in ("Cycle", "FuelExhausted", "DepthExceeded")
+
+
+def test_scan_reports_the_divergence_that_stops_it():
+    omega = translate(anf_transform(NAMED_TERMS["omega"]))
+    assert converges(omega, fuel=3).describe() == "not converged: FuelExhausted"
+    cyclic_a = parse_program(fixture("cyclic_a").source)
+    assert converges(cyclic_a, base_path=("a",)).describe() == "not converged: Cycle"
+
+
+def test_verdict_contradiction():
+    """Head reduction and the scan contradict each other when the oracle
+    finds a head normal form and the scan a cycle, or the oracle proves
+    divergence and the scan converges."""
+    reports = [
+        ConvergenceReport(True, 1),
+        ConvergenceReport(False, None, "Cycle"),
+        ConvergenceReport(False, None, "FuelExhausted"),
+        ConvergenceReport(False, None, "DepthExceeded"),
+    ]
+    for status in ("hnf", "diverged", "fuel"):
+        for report in reports:
+            verdict = Verdict("t", NAMED_TERMS["I"], HeadResult(status, 0), report, report, 0)
+            expected = (status, report.reason) in (("hnf", "Cycle"), ("diverged", None))
+            assert verdict.contradiction == expected, (status, report)
 
 
 def test_converges_church_arithmetic():
@@ -418,7 +465,6 @@ def test_oracle_named_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_substitute_respects_shadowing():
-    body = parse_lambda(r"\x. x y", allow_free=True).body  # x y with x bound above
     t = Abs("x", App(Var("x"), Var("y")))
     out = substitute(t, "y", NAMED_TERMS["I"])
     assert out == Abs("x", App(Var("x"), NAMED_TERMS["I"]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import is_path, mutated_text, properties_struct
-from inhcalc.fixtures import fixture, fixture_names
+from inhcalc.fixtures import FIXTURE_NAMES, fixture
 from inhcalc.semantics import (
     ABOVE_ROOT,
     DEFAULT_FUEL,
@@ -182,7 +182,7 @@ def _answer(method, p):
         return "underflow"
 
 
-@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_shared_context_answers_like_fresh_ones(name):
     # One context answers every query in a shuffled order, so its path
     # ids come from earlier queries; each answer must match a fresh
@@ -234,7 +234,7 @@ def _observe_outcome(prog, fuel: int, record_divergence: bool):
     return out, ctx.fuel
 
 
-@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_source_element_order_does_not_reach_evaluation(name):
     # A program interns its paths in sorted order, so shuffled and
     # duplicated elements give the same path ids: the same tree and fuel,

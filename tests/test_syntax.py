@@ -99,6 +99,25 @@ def test_parse_error_line_and_column(src, line, column, message):
     assert str(exc.value) == f"{line}:{column}: {message}"
 
 
+# Every token of the record grammar, a comment, and characters it does not
+# read.
+_RECORD_PIECES = [
+    "{", "}", "=", ",", ".", "^", "this@", "a", "b", "x_1", "0", "12", "# c\n",
+    " ", "\n", "$", "@", "é", "·", "'", "7",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_RECORD_PIECES), max_size=50).map("".join))
+def test_parse_raises_only_parse_error_inside_the_source(source):
+    try:
+        parse(source)
+    except ParseError as exc:
+        lines = source.split("\n")
+        assert 1 <= exc.line <= len(lines)
+        assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1
+
+
 def test_named_not_found():
     with pytest.raises(ResolutionError) as exc:
         parse_program("{a = {r = this@Missing}}")
