@@ -10,11 +10,20 @@ paths.  Results are memoized per
 query key; a query key that re-enters its own in-flight evaluation
 reports ``Divergence(Cycle)``, and a global fuel budget bounds infinite
 acyclic unfoldings with ``Divergence(FuelExhausted)``.
+
+An evaluation builds no reference cycle, so reference counting alone
+frees it, also when an error escapes.  ``EvalContext.observe`` therefore
+pauses CPython's automatic cyclic collection, which would walk the
+growing memo and find nothing.  The pause is process-wide: while an
+``observe`` runs, no other thread's cyclic garbage is collected either,
+and a thread that toggles ``gc`` meanwhile can be overridden when it
+ends.  Contexts themselves are single-threaded.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -336,6 +345,23 @@ class EvalContext(InternedContext):
     def observe(
         self, p: Path, depth: int, record_divergence: bool = False
     ) -> "ObservationTree":
+        """The tree of ``properties`` below ``p``, ``depth`` levels deep.  A
+        divergent node raises, or with ``record_divergence`` is recorded in
+        the tree.  Runs with automatic cyclic collection off, and on the way
+        out enables only a collector that it disabled."""
+        if not gc.isenabled():
+            return self._observe(p, depth, record_divergence)
+        gc.disable()
+        try:
+            return self._observe(p, depth, record_divergence)
+        finally:
+            gc.enable()
+
+    def _observe(
+        self, p: Path, depth: int, record_divergence: bool
+    ) -> "ObservationTree":
+        # Each node goes through the public ``properties``, so a wrapper
+        # around that method sees every node and every divergence.
         try:
             labels = tuple(sorted(self.properties(p)))
         except DivergenceError as exc:
@@ -345,7 +371,7 @@ class EvalContext(InternedContext):
         children = {}
         if depth > 0:
             for label in labels:
-                children[label] = self.observe(
+                children[label] = self._observe(
                     p + (label,), depth - 1, record_divergence
                 )
         return ObservationTree(p, labels, children, None)

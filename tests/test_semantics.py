@@ -419,3 +419,25 @@ def test_observation_depth_monotone(src):
         return
     # the depth-1 labels are a prefix of the depth-2 observation
     assert shallow[0] == deep[0]
+
+
+@pytest.mark.parametrize("name, nodes", [("nat", 514), ("cyclic_a", 2)])
+def test_observe_asks_each_node_through_the_public_properties(monkeypatch, name, nodes):
+    # A tracer that wraps the public method counts calls and divergences
+    # there, so observe must not bypass it below the root.
+    calls, divergences = [], []
+    properties = EvalContext.properties
+
+    def counted(self, p):
+        calls.append(p)
+        try:
+            return properties(self, p)
+        except DivergenceError as exc:
+            divergences.append((p, exc.kind))
+            raise
+
+    monkeypatch.setattr(EvalContext, "properties", counted)
+    tree = EvalContext(fixture(name).program()).observe((), 4, record_divergence=True)
+    assert len(calls) == len(set(calls)) == len(tree.lines()) == nodes
+    expected = [(("a",), "Cycle")] if name == "cyclic_a" else []
+    assert divergences == expected
