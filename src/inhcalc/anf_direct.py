@@ -97,13 +97,13 @@ class DirectContext(InternedContext):
         parent, node = self._parent, self._node
         out = set()
         for p_graft in self._grafts(p):
-            for ref in node[p_graft].inherits:
+            for n, downs in node[p_graft].inherits:
                 if p == 0:
                     raise ScopeUnderflowError(
                         "a reference at the root has no enclosing scope"
                     )
-                target = self._scope((parent[p], parent[p_graft], ref.n))
-                for label in ref.downs:
+                target = self._scope((parent[p], parent[p_graft], n))
+                for label in downs:
                     target = self._child(target, label)
                 out.add(target)
         return frozenset(out)

@@ -5,8 +5,8 @@ both convergence engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .anf_direct import (
     converges_direct,
@@ -59,8 +59,7 @@ def enumerate_closed_terms(max_size: int = MAX_CORPUS_SIZE) -> list[OTerm]:
     return out
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     term: Term  # named ANF form
     oracle: HeadResult

@@ -10,12 +10,18 @@ Contains four independent pieces:
 * a head-reduction / Böhm-prefix oracle on de Bruijn terms that shares no
   code with the record semantics: one iterative Krivine machine that goes
   under binders and proves divergence by a repeated state.
+
+Terms (``Var``, ``Abs``, ``App``, ``Let``), the reports ``ConvergenceReport``
+and ``HeadResult``, and the Böhm nodes are immutable named tuples, like
+``syntax.Node``: equal values compare and hash equal, and a field cannot
+be set.  Unlike the frozen dataclasses they were, a value also equals the
+plain tuple of its fields: ``Var("x") == ("x",)`` is True.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .semantics import (
     DEFAULT_FUEL,
@@ -54,28 +60,24 @@ class SyntheticNameCollision(ValueError):
 # Named terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Abs:
+class Abs(NamedTuple):
     param: str
-    body: "Term"
+    body: Term
 
 
-@dataclass(frozen=True)
-class App:
-    fun: "Term"
-    arg: "Term"
+class App(NamedTuple):
+    fun: Term
+    arg: Term
 
 
-@dataclass(frozen=True)
-class Let:
+class Let(NamedTuple):
     name: str
-    rhs: "Term"
-    body: "Term"
+    rhs: Term
+    body: Term
 
 
 Term = Var | Abs | App | Let
@@ -219,21 +221,25 @@ def is_anf_value(t: Term) -> bool:
 def _names(t: Term, out: set[str]) -> set[str]:
     """Add every name in t to out; a synthetic let-name raises."""
     if isinstance(t, Var):
-        out.add(t.name)
+        (name,) = t
+        out.add(name)
     elif isinstance(t, Abs):
-        out.add(t.param)
-        _names(t.body, out)
+        param, body = t
+        out.add(param)
+        _names(body, out)
     elif isinstance(t, App):
-        _names(t.fun, out)
-        _names(t.arg, out)
+        fun, arg = t
+        _names(fun, out)
+        _names(arg, out)
     elif isinstance(t, Let):
-        if t.name in SYNTHETIC_LABELS:
+        name, rhs, body = t
+        if name in SYNTHETIC_LABELS:
             raise SyntheticNameCollision(
-                f"let-name {t.name!r} collides with a synthetic label"
+                f"let-name {name!r} collides with a synthetic label"
             )
-        out.add(t.name)
-        _names(t.rhs, out)
-        _names(t.body, out)
+        out.add(name)
+        _names(rhs, out)
+        _names(body, out)
     else:
         raise TypeError(t)
     return out
@@ -242,7 +248,9 @@ def _names(t: Term, out: set[str]) -> set[str]:
 class _Anf:
     """One ANF normalization: the names in use and the fresh-name counter.
     The helpers are methods, so no closure cell ties them in a cycle and
-    reference counting frees the normalizer when it returns."""
+    reference counting frees the normalizer when it returns.  Each helper
+    returns its input itself when conversion changes none of its parts,
+    so only a spine that gains lets is rebuilt."""
 
     def __init__(self, used: set[str]):
         self.used = used
@@ -260,39 +268,52 @@ class _Anf:
         if isinstance(v, Var):
             return v
         if isinstance(v, Abs):
-            return Abs(v.param, self.to_comp(v.body))
+            param, body = v
+            new = self.to_comp(body)
+            return v if new is body else Abs(param, new)
         raise TypeError(f"not a value: {v!r}")
+
+    def application(self, u: App, lets: list) -> App:
+        """u with both parts atomized, arguments first; the lets they
+        need go to lets."""
+        fun, arg = u
+        new_arg = self.atomize(arg, lets)
+        new_fun = self.atomize(fun, lets)
+        return u if new_fun is fun and new_arg is arg else App(new_fun, new_arg)
 
     def atomize(self, u: Term, lets: list) -> Term:
         if is_value(u):
             return self.to_value(u)
         if isinstance(u, Let):
-            return self.atomize(App(Abs(u.name, u.body), u.rhs), lets)
-        arg = self.atomize(u.arg, lets)
-        fun = self.atomize(u.fun, lets)
+            name, rhs, body = u
+            return self.atomize(App(Abs(name, body), rhs), lets)
+        app = self.application(u, lets)
         name = self.fresh()
-        lets.append((name, fun, arg))
+        lets.append((name, app))
         return Var(name)
 
     def to_comp(self, u: Term) -> Term:
         if is_value(u):
             return self.to_value(u)
         if isinstance(u, Let):
-            rhs = u.rhs
-            if isinstance(rhs, App) and is_value(rhs.fun) and is_value(rhs.arg):
-                return Let(
-                    u.name,
-                    App(self.to_value(rhs.fun), self.to_value(rhs.arg)),
-                    self.to_comp(u.body),
-                )
-            return self.to_comp(App(Abs(u.name, u.body), rhs))
+            name, rhs, body = u
+            if isinstance(rhs, App) and is_value(rhs[0]) and is_value(rhs[1]):
+                fun, arg = rhs
+                new_fun, new_arg = self.to_value(fun), self.to_value(arg)
+                new_body = self.to_comp(body)
+                if new_fun is fun and new_arg is arg:
+                    if new_body is body:
+                        return u
+                    new_rhs = rhs
+                else:
+                    new_rhs = App(new_fun, new_arg)
+                return Let(name, new_rhs, new_body)
+            return self.to_comp(App(Abs(name, body), rhs))
         # u is an application spine
         lets: list = []
-        arg = self.atomize(u.arg, lets)
-        fun = self.atomize(u.fun, lets)
-        out: Term = App(fun, arg)
-        for name, f, a in reversed(lets):
-            out = Let(name, App(f, a), out)
+        out: Term = self.application(u, lets)
+        for name, app in reversed(lets):
+            out = Let(name, app, out)
         return out
 
 
@@ -302,8 +323,9 @@ def anf_transform(t: Term) -> Term:
     Intermediate applications are named in evaluation order (arguments
     before the function position, innermost first), matching the shape
     ``let x1 = b false in let x2 = x1 true in let x3 = a b in x3 x2``
-    for ``(a b)(b false true)``.  Terms already in ANF pass through with
-    their let-names intact.
+    for ``(a b)(b false true)``.  A term already in ANF comes back as
+    the same object, let-names intact; so does every part of a term that
+    conversion leaves unchanged.
     """
     return _Anf(_names(t, set())).to_comp(t)
 
@@ -364,11 +386,12 @@ class _Translation:
 
     def ref(self, v: Var, level: int) -> Reference:
         """The reference to variable v from a node at the given level."""
+        (name,) = v
         try:
-            j, downs = self.scope[v.name]
+            j, downs = self.scope[name]
         except KeyError:
             raise FreeVariableError(
-                f"translate requires a closed term: {v.name!r} is free"
+                f"translate requires a closed term: {name!r} is free"
             ) from None
         return Reference(level - 1 - j, downs)
 
@@ -379,20 +402,21 @@ class _Translation:
         if isinstance(m, Var):
             node[i] = Node(inherits=(self.ref(m, level),))
         elif isinstance(m, Abs):
+            param, body = m
             node[i] = _LAMBDA_NODE
             add(i, "argument")
-            self.bound(m.param, level, _ARGUMENT, m.body, add(i, "result"))
+            self.bound(param, level, _ARGUMENT, body, add(i, "result"))
         elif isinstance(m, Let):
-            name = m.name
+            name, rhs, body = m
             if name in SYNTHETIC_LABELS:
                 raise SyntheticNameCollision(
                     f"let-name {name!r} collides with a synthetic label"
                 )
-            if not isinstance(m.rhs, App):
+            if not isinstance(rhs, App):
                 raise ValueError(_NOT_ANF)
             node[i] = Node(frozenset({name, "result"}))
-            self.application(m.rhs, add(i, name), level + 1)
-            self.bound(name, level, (name, "result"), m.body, add(i, "result"))
+            self.application(rhs, add(i, name), level + 1)
+            self.bound(name, level, (name, "result"), body, add(i, "result"))
         elif isinstance(m, App):
             node[i] = _TAIL_NODE
             add(i, "result", _FORWARD_NODE)
@@ -419,12 +443,13 @@ class _Translation:
         record is this record.  The argument counts this record as one
         scope level, but the inlined binder is not in scope there.
         """
-        fun, arg = app.fun, app.arg
+        fun, arg = app
         if isinstance(fun, Var):
             self.node[i] = Node(_APPLICATION_DEFINES, (self.ref(fun, level),))
         elif isinstance(fun, Abs):
+            param, body = fun
             self.node[i] = _LAMBDA_NODE
-            self.bound(fun.param, level, _ARGUMENT, fun.body, self.add(i, "result"))
+            self.bound(param, level, _ARGUMENT, body, self.add(i, "result"))
         else:
             raise ValueError(_NOT_ANF)
         if not isinstance(arg, (Var, Abs)):
@@ -455,8 +480,7 @@ translate_surface = translate
 # Inheritance-convergence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     converged: bool
     depth: int | None = None
     reason: str | None = None  # Cycle | FuelExhausted | DepthExceeded
@@ -521,35 +545,39 @@ def named_to_oracle(t: Term, env: tuple[str, ...] = ()) -> OTerm:
     """Convert a named term to an oracle de Bruijn term.  Let-bindings are
     expanded as beta-redexes: let x = M in N == (\\x. N) M."""
     if isinstance(t, Var):
+        (var,) = t
         for i, name in enumerate(env):
-            if name == t.name:
+            if name == var:
                 return o_var(i)
-        raise FreeVariableError(f"unbound variable {t.name!r}")
+        raise FreeVariableError(f"unbound variable {var!r}")
     if isinstance(t, Abs):
-        return o_abs(named_to_oracle(t.body, (t.param,) + env))
+        param, body = t
+        return o_abs(named_to_oracle(body, (param,) + env))
     if isinstance(t, App):
-        return o_app(named_to_oracle(t.fun, env), named_to_oracle(t.arg, env))
+        fun, arg = t
+        return o_app(named_to_oracle(fun, env), named_to_oracle(arg, env))
     if isinstance(t, Let):
+        name, rhs, body = t
         return o_app(
-            o_abs(named_to_oracle(t.body, (t.name,) + env)),
-            named_to_oracle(t.rhs, env),
+            o_abs(named_to_oracle(body, (name,) + env)),
+            named_to_oracle(rhs, env),
         )
     raise TypeError(t)
 
 
 def oracle_to_named(t: OTerm, depth: int = 0) -> Term:
-    if t[0] == "var":
+    tag = t[0]
+    if tag == "var":
         index = t[1]
         if index >= depth:
             raise FreeVariableError(f"free de Bruijn index {index}")
         return Var(f"v{depth - 1 - index}")
-    if t[0] == "abs":
+    if tag == "abs":
         return Abs(f"v{depth}", oracle_to_named(t[1], depth + 1))
     return App(oracle_to_named(t[1], depth), oracle_to_named(t[2], depth))
 
 
-@dataclass(frozen=True)
-class HeadResult:
+class HeadResult(NamedTuple):
     status: str  # "hnf" | "diverged" | "fuel"
     steps: int
 
@@ -628,13 +656,11 @@ def head_reduce(t: OTerm, fuel: int = 10_000) -> HeadResult:
 UNEXPANDED = "unexpanded"
 
 
-@dataclass(frozen=True)
-class Bottom:
+class Bottom(NamedTuple):
     proven: bool  # True when divergence was proven by loop detection
 
 
-@dataclass(frozen=True)
-class HnfNode:
+class HnfNode(NamedTuple):
     binders: int
     head: int
     children: tuple

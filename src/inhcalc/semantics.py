@@ -262,12 +262,12 @@ class EvalContext(InternedContext):
     def _bases(self, p: int) -> frozenset[int]:
         out = set()
         for p_override in self._overrides(p):
-            for ref in self._node[p_override].inherits:
+            for n, downs in self._node[p_override].inherits:
                 if p == 0:
                     raise ScopeUnderflowError(
                         "a reference at the root has no enclosing scope"
                     )
-                out |= self._resolve((self._parent[p], p_override, ref.n, ref.downs))
+                out |= self._resolve((self._parent[p], p_override, n, downs))
         return frozenset(out)
 
     @equation("resolve")

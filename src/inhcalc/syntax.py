@@ -24,6 +24,12 @@ the reference) and ``downs`` is a list of downward projections.
 ``resolve_references`` desugars the named and lexical forms to the same
 representation and writes the program anew in sorted path order, with
 ``Node`` nodes, so the source's order does not reach evaluation.
+
+References (``Reference``, ``NamedRef``, ``LexicalRef``) are immutable
+named tuples, like ``Node``, and a ``Reference`` checks ``n >= 0`` on
+every way to build one.  Like ``lam``'s terms, where ``Var("x") ==
+("x",)`` is True, a reference equals the plain tuple of its fields:
+``Reference(0) == (0, ())``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from __future__ import annotations
 import re
 import string
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import NamedTuple
 
 Label = str
@@ -57,30 +62,38 @@ class ResolutionError(Exception):
         self.kind = kind  # "NamedNotFound" | "LexicalNotFound"
 
 
-@dataclass(frozen=True, order=True)
-class Reference:
-    """A desugared reference: ``n`` scope levels up, then ``downs`` down."""
-
+class _ReferenceFields(NamedTuple):
     n: int
     downs: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+
+class Reference(_ReferenceFields):
+    """A desugared reference: ``n`` scope levels up, then ``downs`` down.
+    Every way to build one checks ``n >= 0``: the constructor, ``_make``
+    and ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, downs: tuple[str, ...] = ()):
+        if n < 0:
             raise ValueError("reference index must be nonnegative")
+        return tuple.__new__(cls, (n, downs))
+
+    @classmethod
+    def _make(cls, iterable) -> Reference:
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
 # Surface AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NamedRef:
+class NamedRef(NamedTuple):
     up: str
     downs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class LexicalRef:
+class LexicalRef(NamedTuple):
     downs: tuple[str, ...]  # nonempty; downs[0] is the head label
 
 

@@ -581,3 +581,17 @@ def test_anf_transform_always_yields_anf(seed):
     anf = anf_transform(t)
     assert is_anf(anf)
     assert not free_vars(anf)
+
+
+def test_anf_transform_returns_anf_input_itself():
+    # corpus_terms ends with the ANF forms of NAMED_TERMS
+    for name, anf in corpus_terms(8):
+        assert anf_transform(anf) is anf, name
+
+
+def test_anf_transform_keeps_the_parts_it_does_not_change():
+    t = parse_lambda(r"(\a. a a) ((\b. b) (\c. c))")
+    anf = anf_transform(t)
+    assert term_text(anf) == r"let _a0 = (\b. b) (\c. c) in (\a. a a) _a0"
+    assert anf.rhs is t.arg
+    assert anf.body.fun is t.fun
