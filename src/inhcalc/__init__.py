@@ -24,7 +24,6 @@ from .semantics import (
     DEFAULT_FUEL,
     DivergenceError,
     EvalContext,
-    NaiveEvaluator,
     ObservationTree,
     ScopeUnderflowError,
 )
@@ -35,7 +34,6 @@ from .lam import (
     converges,
     head_reduce,
     parse_lambda,
-    substitute,
     translate,
 )
 
@@ -46,7 +44,6 @@ __all__ = [
     "CoreProgram",
     "DivergenceError",
     "EvalContext",
-    "NaiveEvaluator",
     "ObservationTree",
     "ParseError",
     "Reference",
@@ -63,7 +60,6 @@ __all__ = [
     "path_text",
     "render",
     "resolve_references",
-    "substitute",
     "translate",
 ]
 

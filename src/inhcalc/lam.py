@@ -11,6 +11,11 @@ Contains four independent pieces:
   code with the record semantics: one iterative Krivine machine that goes
   under binders and proves divergence by a repeated state.
 
+Each check on a term is made once, where the term is read:
+``parse_lambda`` finds a parse error, free variables and synthetic
+let-names in its one pass, and ``anf_transform`` checks nothing.
+``translate`` checks hand-built terms again as it walks them.
+
 Terms (``Var``, ``Abs``, ``App``, ``Let``), the reports ``ConvergenceReport``
 and ``HeadResult``, and the Böhm nodes are immutable named tuples, like
 ``syntax.Node``: equal values compare and hash equal, and a field cannot
@@ -87,18 +92,6 @@ def is_value(t: Term) -> bool:
     return isinstance(t, (Var, Abs))
 
 
-def free_vars(t: Term, bound: frozenset[str] = frozenset()) -> set[str]:
-    if isinstance(t, Var):
-        return set() if t.name in bound else {t.name}
-    if isinstance(t, Abs):
-        return free_vars(t.body, bound | {t.param})
-    if isinstance(t, App):
-        return free_vars(t.fun, bound) | free_vars(t.arg, bound)
-    if isinstance(t, Let):
-        return free_vars(t.rhs, bound) | free_vars(t.body, bound | {t.name})
-    raise TypeError(t)
-
-
 def term_text(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
@@ -129,10 +122,16 @@ _LAM_KIND = {
 
 
 class _LamParser(_Reader):
-    """Recursive descent over the shared reader's token kinds and texts."""
+    """Recursive descent over the shared reader's token kinds and texts.
+    It counts the binders in scope by name, binding inline so that a
+    binder costs one stack frame, and collects the names it reads free
+    and the first let-name that is a synthetic label."""
 
     def __init__(self, text: str):
         super().__init__(text, _LAM_TOKEN_RE, _LAM_KIND)
+        self.scope: dict[str, int] = {}
+        self.free: set[str] = set()
+        self.synthetic: str | None = None
 
     def error(self, message: str, pos: int | None = None):
         raise LambdaParseError(message if pos is None else f"{message} at {pos}")
@@ -146,18 +145,24 @@ class _LamParser(_Reader):
         kind = self.kinds[self.i]
         if kind == "lam":
             self.i += 1
-            param = self.expect("ident")
+            name = self.expect("ident")
             self.expect("dot")
-            return Abs(param, self.parse_term())
-        if kind == "let":
+            rhs = None
+        elif kind == "let":
             self.i += 1
             name = self.expect("ident")
             self.expect("eq")
-            rhs = self.parse_term()
+            if name in SYNTHETIC_LABELS and self.synthetic is None:
+                self.synthetic = name
+            rhs = self.parse_term()  # the let-name is not in scope here
             self.expect("in")
-            body = self.parse_term()
-            return Let(name, rhs, body)
-        return self.parse_application()
+        else:
+            return self.parse_application()
+        scope = self.scope
+        scope[name] = scope.get(name, 0) + 1
+        body = self.parse_term()
+        scope[name] -= 1
+        return Abs(name, body) if rhs is None else Let(name, rhs, body)
 
     def parse_application(self) -> Term:
         t = self.parse_atom()
@@ -173,7 +178,10 @@ class _LamParser(_Reader):
         kind = self.kinds[i]
         if kind == "ident":
             self.i = i + 1
-            return Var(self.texts[i])
+            name = self.texts[i]
+            if not self.scope.get(name):
+                self.free.add(name)
+            return Var(name)
         if kind == "lp":
             self.i = i + 1
             t = self.parse_term()
@@ -183,11 +191,21 @@ class _LamParser(_Reader):
 
 
 def parse_lambda(text: str) -> Term:
-    """Parse a closed term; a free variable raises ``FreeVariableError``."""
-    term = _LamParser(text).parse()
-    free = free_vars(term)
-    if free:
-        raise FreeVariableError(f"term is not closed; free variables: {sorted(free)}")
+    """Parse a closed term, checking it in the same pass.  A malformed
+    text raises ``LambdaParseError``; then a term with free variables
+    raises ``FreeVariableError``, naming all of them; then a let-name that
+    is a synthetic label raises ``SyntheticNameCollision`` for the first
+    one.  The ANF form of what it returns passes ``translate``."""
+    parser = _LamParser(text)
+    term = parser.parse()
+    if parser.free:
+        raise FreeVariableError(
+            f"term is not closed; free variables: {sorted(parser.free)}"
+        )
+    if parser.synthetic is not None:
+        raise SyntheticNameCollision(
+            f"let-name {parser.synthetic!r} collides with a synthetic label"
+        )
     return term
 
 
@@ -195,73 +213,27 @@ def parse_lambda(text: str) -> Term:
 # ANF transform
 # ---------------------------------------------------------------------------
 
-def is_anf(t: Term) -> bool:
-    """Check the ANF grammar: Let binds exactly one application of values;
-    tail position is one application of values or a value."""
-    if isinstance(t, Let):
-        return (
-            isinstance(t.rhs, App)
-            and is_anf_value(t.rhs.fun)
-            and is_anf_value(t.rhs.arg)
-            and is_anf(t.body)
-        )
-    if isinstance(t, App):
-        return is_anf_value(t.fun) and is_anf_value(t.arg)
-    return is_anf_value(t)
-
-
-def is_anf_value(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, Abs):
-        return is_anf(t.body)
-    return False
-
-
-def _names(t: Term, out: set[str]) -> set[str]:
-    """Add every name in t to out; a synthetic let-name raises."""
-    if isinstance(t, Var):
-        (name,) = t
-        out.add(name)
-    elif isinstance(t, Abs):
-        param, body = t
-        out.add(param)
-        _names(body, out)
-    elif isinstance(t, App):
-        fun, arg = t
-        _names(fun, out)
-        _names(arg, out)
-    elif isinstance(t, Let):
-        name, rhs, body = t
-        if name in SYNTHETIC_LABELS:
-            raise SyntheticNameCollision(
-                f"let-name {name!r} collides with a synthetic label"
-            )
-        out.add(name)
-        _names(rhs, out)
-        _names(body, out)
-    else:
-        raise TypeError(t)
-    return out
-
-
 class _Anf:
-    """One ANF normalization: the names in use and the fresh-name counter.
-    The helpers are methods, so no closure cell ties them in a cycle and
-    reference counting frees the normalizer when it returns.  Each helper
-    returns its input itself when conversion changes none of its parts,
-    so only a spine that gains lets is rebuilt."""
+    """One ANF normalization: the binders in scope, counted by name, and
+    the fresh-name counter.  The helpers are methods, so no closure cell
+    ties them in a cycle and reference counting frees the normalizer when
+    it returns.  Each helper returns its input itself when conversion
+    changes none of its parts, so only a spine that gains lets is rebuilt.
+    Binding is inline, so a binder costs two stack frames."""
 
-    def __init__(self, used: set[str]):
-        self.used = used
+    def __init__(self):
+        self.scope: dict[str, int] = {}
         self.counter = 0
 
     def fresh(self) -> str:
+        """The next ``_a<k>`` that no binder in scope has.  A spine's lets
+        wrap it where it stands, and a closed spine's free names are its
+        binders in scope, so the let captures none; abstraction atoms never
+        mention the spine's own lets, and the counter never repeats."""
         while True:
             name = f"_a{self.counter}"
             self.counter += 1
-            if name not in self.used:
-                self.used.add(name)
+            if not self.scope.get(name):
                 return name
 
     def to_value(self, v: Term) -> Term:
@@ -269,7 +241,10 @@ class _Anf:
             return v
         if isinstance(v, Abs):
             param, body = v
+            scope = self.scope
+            scope[param] = scope.get(param, 0) + 1
             new = self.to_comp(body)
+            scope[param] -= 1
             return v if new is body else Abs(param, new)
         raise TypeError(f"not a value: {v!r}")
 
@@ -300,7 +275,10 @@ class _Anf:
             if isinstance(rhs, App) and is_value(rhs[0]) and is_value(rhs[1]):
                 fun, arg = rhs
                 new_fun, new_arg = self.to_value(fun), self.to_value(arg)
+                scope = self.scope
+                scope[name] = scope.get(name, 0) + 1
                 new_body = self.to_comp(body)
+                scope[name] -= 1
                 if new_fun is fun and new_arg is arg:
                     if new_body is body:
                         return u
@@ -318,39 +296,20 @@ class _Anf:
 
 
 def anf_transform(t: Term) -> Term:
-    """Normalize a term to ANF with deterministic fresh names _a0, _a1, ...
+    """Normalize a closed term to ANF in one pass.
 
     Intermediate applications are named in evaluation order (arguments
     before the function position, innermost first), matching the shape
     ``let x1 = b false in let x2 = x1 true in let x3 = a b in x3 x2``
-    for ``(a b)(b false true)``.  A term already in ANF comes back as
-    the same object, let-names intact; so does every part of a term that
-    conversion leaves unchanged.
+    for ``(a b)(b false true)``.  The fresh names are ``_a<k>``, k counting
+    up from 0 over the whole term and skipping a name that a binder in
+    scope at the new let has; a user name out of scope there may recur.
+    The term must be closed, as ``parse_lambda`` returns it (a free
+    ``_a<k>`` may be captured), and no let-name is checked here.  A term
+    already in ANF comes back as the same object, let-names intact; so
+    does every part of a term that conversion leaves unchanged.
     """
-    return _Anf(_names(t, set())).to_comp(t)
-
-
-def substitute(t: Term, x: str, v: Term) -> Term:
-    """Capture-avoiding substitution t[v/x] for a closed value v.
-
-    Performed at the named-ANF level so let-names are preserved;
-    substituting a value for a variable keeps the term in ANF.
-    """
-    assert is_value(v) and not free_vars(v), "substitute requires a closed value"
-    if isinstance(t, Var):
-        return v if t.name == x else t
-    if isinstance(t, Abs):
-        if t.param == x:
-            return t
-        return Abs(t.param, substitute(t.body, x, v))
-    if isinstance(t, App):
-        return App(substitute(t.fun, x, v), substitute(t.arg, x, v))
-    if isinstance(t, Let):
-        rhs = substitute(t.rhs, x, v)
-        if t.name == x:
-            return Let(t.name, rhs, t.body)
-        return Let(t.name, rhs, substitute(t.body, x, v))
-    raise TypeError(t)
+    return _Anf().to_comp(t)
 
 
 # ---------------------------------------------------------------------------

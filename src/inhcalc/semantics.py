@@ -426,28 +426,3 @@ class ObservationTree:
 
         return json.dumps(conv(self), indent=2, sort_keys=True)
 
-
-class _Forgetful(dict):
-    """A memo table that stores nothing: every lookup misses."""
-
-    def get(self, key, default=None):
-        return default
-
-    def __contains__(self, key):
-        return False
-
-    def __setitem__(self, key, value):
-        pass
-
-    def __delitem__(self, key):
-        pass
-
-
-class NaiveEvaluator(EvalContext):
-    """The same equations over a memo that forgets: no cache and no cycle
-    detection, one unit of fuel per call.  Exponentially slower; the
-    memoized engine is checked against it on small queries."""
-
-    def __init__(self, program: CoreProgram, fuel: int = 200_000):
-        super().__init__(program, fuel)
-        self.memo = defaultdict(_Forgetful)

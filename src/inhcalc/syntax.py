@@ -298,7 +298,8 @@ class CoreProgram:
 
     ``nodes`` is a read-only path-keyed view of the program's own nodes.
     ``defines`` and ``inherits`` read a path's labels and references as
-    frozensets, empty on paths never mentioned in the source.
+    frozensets, empty on paths never mentioned in the source, from either
+    kind of node.  ``render`` and ``hash`` take resolved programs only.
     """
 
     def __init__(self):
@@ -332,10 +333,10 @@ class CoreProgram:
         return self._table
 
     def defines(self, p: Path) -> frozenset[str]:
-        return self._nodes().get(p, EMPTY_NODE).defines
+        return frozenset(self._nodes().get(p, EMPTY_NODE)[0])
 
     def inherits(self, p: Path) -> frozenset[Reference]:
-        return frozenset(self._nodes().get(p, EMPTY_NODE).inherits)
+        return frozenset(self._nodes().get(p, EMPTY_NODE)[1])
 
     def paths(self) -> list[Path]:
         return sorted(self._nodes())

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 from inhcalc.anf_direct import DirectContext
+from inhcalc.lam import Abs, App, Let, Term, Var, is_value
 from inhcalc.semantics import DivergenceError, EvalContext
-from inhcalc.syntax import NamedRef, Reference, ref_text
+from inhcalc.syntax import CoreProgram, NamedRef, Reference, ref_text
 
 
 def ref_str(ref) -> str:
@@ -63,3 +65,91 @@ def labels_struct(ctx: DirectContext, p, depth: int):
             for label in labels
         )
     return (labels, children)
+
+
+# ---------------------------------------------------------------------------
+# Reference engines and term helpers that only tests use
+# ---------------------------------------------------------------------------
+
+class _Forgetful(dict):
+    """A memo table that stores nothing: every lookup misses."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __contains__(self, key):
+        return False
+
+    def __setitem__(self, key, value):
+        pass
+
+    def __delitem__(self, key):
+        pass
+
+
+class NaiveEvaluator(EvalContext):
+    """The same equations over a memo that forgets: no cache and no cycle
+    detection, one unit of fuel per call.  Exponentially slower; the
+    memoized engine is checked against it on small queries."""
+
+    def __init__(self, program: CoreProgram, fuel: int = 200_000):
+        super().__init__(program, fuel)
+        self.memo = defaultdict(_Forgetful)
+
+
+def free_vars(t: Term, bound: frozenset[str] = frozenset()) -> set[str]:
+    if isinstance(t, Var):
+        return set() if t.name in bound else {t.name}
+    if isinstance(t, Abs):
+        return free_vars(t.body, bound | {t.param})
+    if isinstance(t, App):
+        return free_vars(t.fun, bound) | free_vars(t.arg, bound)
+    if isinstance(t, Let):
+        return free_vars(t.rhs, bound) | free_vars(t.body, bound | {t.name})
+    raise TypeError(t)
+
+
+def is_anf(t: Term) -> bool:
+    """Check the ANF grammar: Let binds exactly one application of values;
+    tail position is one application of values or a value."""
+    if isinstance(t, Let):
+        return (
+            isinstance(t.rhs, App)
+            and is_anf_value(t.rhs.fun)
+            and is_anf_value(t.rhs.arg)
+            and is_anf(t.body)
+        )
+    if isinstance(t, App):
+        return is_anf_value(t.fun) and is_anf_value(t.arg)
+    return is_anf_value(t)
+
+
+def is_anf_value(t: Term) -> bool:
+    if isinstance(t, Var):
+        return True
+    if isinstance(t, Abs):
+        return is_anf(t.body)
+    return False
+
+
+def substitute(t: Term, x: str, v: Term) -> Term:
+    """Capture-avoiding substitution t[v/x] for a closed value v.
+
+    Performed at the named-ANF level so let-names are preserved;
+    substituting a value for a variable keeps the term in ANF.
+    """
+    assert is_value(v) and not free_vars(v), "substitute requires a closed value"
+    if isinstance(t, Var):
+        return v if t.name == x else t
+    if isinstance(t, Abs):
+        if t.param == x:
+            return t
+        return Abs(t.param, substitute(t.body, x, v))
+    if isinstance(t, App):
+        return App(substitute(t.fun, x, v), substitute(t.arg, x, v))
+    if isinstance(t, Let):
+        rhs = substitute(t.rhs, x, v)
+        if t.name == x:
+            return Let(t.name, rhs, t.body)
+        return Let(t.name, rhs, substitute(t.body, x, v))
+    raise TypeError(t)

@@ -7,7 +7,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import labels_struct, mutated_text, properties_struct
+from conftest import (
+    NaiveEvaluator,
+    labels_struct,
+    mutated_text,
+    properties_struct,
+    substitute,
+)
 from inhcalc.anf_direct import DirectContext, extract
 from inhcalc.corpus import _terms, corpus_terms, summarize, sweep
 from inhcalc.fixtures import FIXTURE_NAMES, fixture
@@ -19,10 +25,9 @@ from inhcalc.lam import (
     o_abs,
     o_app,
     oracle_to_named,
-    substitute,
     translate,
 )
-from inhcalc.semantics import DivergenceError, EvalContext, NaiveEvaluator
+from inhcalc.semantics import DivergenceError, EvalContext
 from inhcalc.syntax import parse, parse_path, parse_program
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import free_vars, is_anf, substitute
 from inhcalc.corpus import Verdict, _terms, corpus_terms, enumerate_closed_terms
 from inhcalc.fixtures import fixture
 from inhcalc.lam import (
@@ -27,16 +28,13 @@ from inhcalc.lam import (
     bohm_prefix,
     bohm_text,
     converges,
-    free_vars,
     head_reduce,
-    is_anf,
     named_to_oracle,
     o_abs,
     o_app,
     o_var,
     oracle_to_named,
     parse_lambda,
-    substitute,
     term_text,
     translate,
     translate_surface,
@@ -105,6 +103,18 @@ def test_parse_lambda_unexpected_character(text, message):
         ("\\x. x)", LambdaParseError, "expected eof, found rp"),
         ("x y", FreeVariableError, "term is not closed; free variables: ['x', 'y']"),
         ("y (\\z. x)", FreeVariableError, "term is not closed; free variables: ['x', 'y']"),
+        # a let's name is not in scope in its right side
+        ("let x = x in x", FreeVariableError, "term is not closed; free variables: ['x']"),
+        ("(\\x. x) x", FreeVariableError, "term is not closed; free variables: ['x']"),
+        ("\\x. (\\y. y) y", FreeVariableError, "term is not closed; free variables: ['y']"),
+        # parse errors, then free variables, then synthetic let-names
+        ("let result = y in y", FreeVariableError, "term is not closed; free variables: ['y']"),
+        ("\\x. let result = x x in (", LambdaParseError, "unexpected token eof"),
+        (
+            "let tailCall = (\\x. x) (\\y. y) in tailCall",
+            SyntheticNameCollision,
+            "let-name 'tailCall' collides with a synthetic label",
+        ),
     ],
 )
 def test_parse_lambda_error_messages(text, error, message):
@@ -177,6 +187,31 @@ def test_anf_transform_leaves_no_cyclic_garbage():
             assert gc.collect() == 0, name
     finally:
         gc.enable()
+
+
+def _binder_nest(n):
+    """\\x0. \\x1. ... \\x<n-1>. x0, built without the parser."""
+    t = Var("x0")
+    for i in reversed(range(n)):
+        t = Abs(f"x{i}", t)
+    return t
+
+
+def test_lambda_front_end_takes_deep_binder_nests():
+    # parse_lambda recurses once per binder, anf_transform and translate
+    # twice; a helper call per binder would overflow these nests
+    text = "".join(f"\\x{i}. " for i in range(800)) + "x0"
+    assert parse_lambda(text) == _binder_nest(800)
+    t = _binder_nest(400)
+    assert anf_transform(t) is t
+    assert len(translate(t).nodes) == 801
+
+
+def test_anf_fresh_names_skip_only_binders_in_scope():
+    in_scope = anf_transform(parse_lambda(r"\_a0. _a0 ((\x. x) _a0)"))
+    assert term_text(in_scope) == r"\_a0. let _a1 = (\x. x) _a0 in _a0 _a1"
+    out_of_scope = anf_transform(parse_lambda(r"(\_a0. _a0) ((\x. x) (\y. y))"))
+    assert term_text(out_of_scope) == r"let _a0 = (\x. x) (\y. y) in (\_a0. _a0) _a0"
 
 
 def test_anf_rejects_synthetic_name_collisions():
@@ -496,14 +531,15 @@ def _bohm_struct(node):
 
 
 def test_anf_preserves_bohm_prefixes():
+    # binders named v<k>, and again named _a<k> like the fresh let-names
     for ot in enumerate_closed_terms(6):
-        named = oracle_to_named(ot)
-        anf = anf_transform(named)
         before = bohm_prefix(ot, depth=2, fuel=5_000)
-        after = bohm_prefix(named_to_oracle(anf), depth=2, fuel=5_000)
         if isinstance(before, Bottom) and not before.proven:
             continue  # fuel verdicts are not comparable
-        assert _bohm_struct(before) == _bohm_struct(after)
+        named = oracle_to_named(ot)
+        for t in (named, parse_lambda(term_text(named).replace("v", "_a"))):
+            after = bohm_prefix(named_to_oracle(anf_transform(t)), depth=2, fuel=5_000)
+            assert _bohm_struct(before) == _bohm_struct(after)
 
 
 def _corpus_redexes():

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_path, mutated_text, properties_struct
+from conftest import NaiveEvaluator, is_path, mutated_text, properties_struct
 from inhcalc.fixtures import FIXTURE_NAMES, fixture
 from inhcalc.semantics import (
     ABOVE_ROOT,
     DEFAULT_FUEL,
     DivergenceError,
     EvalContext,
-    NaiveEvaluator,
     ScopeUnderflowError,
     SinglePathViolation,
 )

@@ -10,6 +10,7 @@ from inhcalc.corpus import corpus_terms
 from inhcalc.fixtures import FIXTURE_NAMES, FRAGMENT_DEPS, fixture, fragment_program
 from inhcalc.lam import translate
 from inhcalc.syntax import (
+    LexicalRef,
     Node,
     ParseError,
     Reference,
@@ -295,6 +296,17 @@ def test_resolved_nodes_are_one_format(src):
 def test_translated_nodes_are_one_format():
     for _, t in corpus_terms(8):
         _assert_resolved_nodes(translate(t))
+
+
+def test_surface_program_reads_like_its_resolution():
+    for name in FIXTURE_NAMES:
+        source = fixture(name).source
+        surface, resolved = parse(source), parse_program(source)
+        for p in surface.paths():
+            assert surface.defines(p) == resolved.defines(p), (name, p)
+    surface = parse("{a = {b = {}}, c = a}")
+    assert surface.defines(()) == {"a", "c"}
+    assert surface.inherits(("c",)) == {LexicalRef(("a",))}
 
 
 @pytest.mark.parametrize(
