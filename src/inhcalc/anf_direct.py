@@ -70,7 +70,7 @@ class DirectContext(InternedContext):
         out = set()
         for p_step in self._callee_star(p):
             for p_graft in self._grafts(p_step):
-                out |= node[p_graft].defines
+                out |= node[p_graft][0]
         return frozenset(out)
 
     @equation("grafts")
@@ -86,7 +86,7 @@ class DirectContext(InternedContext):
         # the parent.
         for p_step in self._callee_star(self._parent[p]):
             for p_graft in self._grafts(p_step):
-                if last in node[p_graft].defines:
+                if last in node[p_graft][0]:
                     out.add(self._child(p_graft, last))
         return frozenset(out)
 
@@ -97,7 +97,7 @@ class DirectContext(InternedContext):
         parent, node = self._parent, self._node
         out = set()
         for p_graft in self._grafts(p):
-            for n, downs in node[p_graft].inherits:
+            for n, downs in node[p_graft][1]:
                 if p == 0:
                     raise ScopeUnderflowError(
                         "a reference at the root has no enclosing scope"
@@ -133,7 +133,7 @@ class DirectContext(InternedContext):
         ``(parent(s), grafts(s))`` entry per ``s`` in ``callee*(p)``, in its
         iteration order, each grafts set the one its memo holds."""
         parent = self._parent
-        return tuple((parent[s], self._grafts(s)) for s in self._callee_star(p))
+        return tuple([(parent[s], self._grafts(s)) for s in self._callee_star(p)])
 
 
 def converges_direct(

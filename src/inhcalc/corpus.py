@@ -116,8 +116,9 @@ def judge(
     ctx = EvalContext(prog, fuel=fuel)
     conv = converges(prog, max_depth=max_depth, ctx=ctx)
     direct = converges_direct(prog, fuel=fuel, max_depth=max_depth)
-    return Verdict(
-        name, anf_term, oracle, conv, direct, len(ctx.single_path_violations)
+    # Verdict(...) without the generated constructor's frame
+    return tuple.__new__(
+        Verdict, (name, anf_term, oracle, conv, direct, len(ctx.single_path_violations))
     )
 
 

@@ -20,7 +20,10 @@ Terms (``Var``, ``Abs``, ``App``, ``Let``), the reports ``ConvergenceReport``
 and ``HeadResult``, and the Böhm nodes are immutable named tuples, like
 ``syntax.Node``: equal values compare and hash equal, and a field cannot
 be set.  Unlike the frozen dataclasses they were, a value also equals the
-plain tuple of its fields: ``Var("x") == ("x",)`` is True.
+plain tuple of its fields: ``Var("x") == ("x",)`` is True.  The hot paths
+(``oracle_to_named``, ``anf_transform``, ``translate``'s ``Node``s and
+the two reports) build them with ``_new(Cls, fields)``: the body of the
+generated constructor without its Python frame, at about half its cost.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from .syntax import (
     _Reader,
     resolve_references,  # noqa: F401  (bench/layers.py traces lam.resolve_references)
 )
+
+_new = tuple.__new__
 
 SYNTHETIC_LABELS = frozenset({"argument", "result", "tailCall"})
 
@@ -90,24 +95,6 @@ Term = Var | Abs | App | Let
 
 def is_value(t: Term) -> bool:
     return isinstance(t, (Var, Abs))
-
-
-def term_text(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Abs):
-        return f"\\{t.param}. {term_text(t.body)}"
-    if isinstance(t, Let):
-        return f"let {t.name} = {term_text(t.rhs)} in {term_text(t.body)}"
-    if isinstance(t, App):
-        fun = term_text(t.fun)
-        arg = term_text(t.arg)
-        if isinstance(t.fun, (Abs, Let)):
-            fun = f"({fun})"
-        if not isinstance(t.arg, Var):
-            arg = f"({arg})"
-        return f"{fun} {arg}"
-    raise TypeError(t)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +232,7 @@ class _Anf:
             scope[param] = scope.get(param, 0) + 1
             new = self.to_comp(body)
             scope[param] -= 1
-            return v if new is body else Abs(param, new)
+            return v if new is body else _new(Abs, (param, new))
         raise TypeError(f"not a value: {v!r}")
 
     def application(self, u: App, lets: list) -> App:
@@ -254,18 +241,18 @@ class _Anf:
         fun, arg = u
         new_arg = self.atomize(arg, lets)
         new_fun = self.atomize(fun, lets)
-        return u if new_fun is fun and new_arg is arg else App(new_fun, new_arg)
+        return u if new_fun is fun and new_arg is arg else _new(App, (new_fun, new_arg))
 
     def atomize(self, u: Term, lets: list) -> Term:
         if is_value(u):
             return self.to_value(u)
         if isinstance(u, Let):
             name, rhs, body = u
-            return self.atomize(App(Abs(name, body), rhs), lets)
+            return self.atomize(_new(App, (_new(Abs, (name, body)), rhs)), lets)
         app = self.application(u, lets)
         name = self.fresh()
         lets.append((name, app))
-        return Var(name)
+        return _new(Var, (name,))
 
     def to_comp(self, u: Term) -> Term:
         if is_value(u):
@@ -284,14 +271,14 @@ class _Anf:
                         return u
                     new_rhs = rhs
                 else:
-                    new_rhs = App(new_fun, new_arg)
-                return Let(name, new_rhs, new_body)
-            return self.to_comp(App(Abs(name, body), rhs))
+                    new_rhs = _new(App, (new_fun, new_arg))
+                return _new(Let, (name, new_rhs, new_body))
+            return self.to_comp(_new(App, (_new(Abs, (name, body)), rhs)))
         # u is an application spine
         lets: list = []
         out: Term = self.application(u, lets)
         for name, app in reversed(lets):
-            out = Let(name, app, out)
+            out = _new(Let, (name, app, out))
         return out
 
 
@@ -330,6 +317,7 @@ _LAMBDA_NODE = Node(frozenset({"argument", "result"}))
 _TAIL_NODE = Node(frozenset({"tailCall", "result"}))
 _FORWARD_NODE = Node(inherits=(Reference(0, ("tailCall", "result")),))
 _APPLICATION_DEFINES = frozenset(_ARGUMENT)
+_NO_LABELS = frozenset()
 
 
 class _Translation:
@@ -359,7 +347,7 @@ class _Translation:
         given level."""
         node, add = self.node, self.add
         if isinstance(m, Var):
-            node[i] = Node(inherits=(self.ref(m, level),))
+            node[i] = _new(Node, (_NO_LABELS, (self.ref(m, level),)))
         elif isinstance(m, Abs):
             param, body = m
             node[i] = _LAMBDA_NODE
@@ -373,7 +361,7 @@ class _Translation:
                 )
             if not isinstance(rhs, App):
                 raise ValueError(_NOT_ANF)
-            node[i] = Node(frozenset({name, "result"}))
+            node[i] = _new(Node, (frozenset((name, "result")), ()))
             self.application(rhs, add(i, name), level + 1)
             self.bound(name, level, (name, "result"), body, add(i, "result"))
         elif isinstance(m, App):
@@ -404,7 +392,7 @@ class _Translation:
         """
         fun, arg = app
         if isinstance(fun, Var):
-            self.node[i] = Node(_APPLICATION_DEFINES, (self.ref(fun, level),))
+            self.node[i] = _new(Node, (_APPLICATION_DEFINES, (self.ref(fun, level),)))
         elif isinstance(fun, Abs):
             param, body = fun
             self.node[i] = _LAMBDA_NODE
@@ -458,9 +446,9 @@ def _scan_result_chain(labels, max_depth: int, base_path: Path = ()) -> Converge
         try:
             found = labels(base_path + ("result",) * n)
         except DivergenceError as exc:
-            return ConvergenceReport(False, None, exc.kind)
+            return _new(ConvergenceReport, (False, None, exc.kind))
         if "argument" in found and "result" in found:
-            return ConvergenceReport(True, n, None)
+            return _new(ConvergenceReport, (True, n, None))
     return ConvergenceReport(False, None, "DepthExceeded")
 
 
@@ -507,19 +495,18 @@ def named_to_oracle(t: Term, env: tuple[str, ...] = ()) -> OTerm:
         (var,) = t
         for i, name in enumerate(env):
             if name == var:
-                return o_var(i)
+                return ("var", i)
         raise FreeVariableError(f"unbound variable {var!r}")
     if isinstance(t, Abs):
         param, body = t
-        return o_abs(named_to_oracle(body, (param,) + env))
+        return ("abs", named_to_oracle(body, (param,) + env))
     if isinstance(t, App):
         fun, arg = t
-        return o_app(named_to_oracle(fun, env), named_to_oracle(arg, env))
+        return ("app", named_to_oracle(fun, env), named_to_oracle(arg, env))
     if isinstance(t, Let):
         name, rhs, body = t
-        return o_app(
-            o_abs(named_to_oracle(body, (name,) + env)),
-            named_to_oracle(rhs, env),
+        return (
+            "app", ("abs", named_to_oracle(body, (name,) + env)), named_to_oracle(rhs, env)
         )
     raise TypeError(t)
 
@@ -530,10 +517,10 @@ def oracle_to_named(t: OTerm, depth: int = 0) -> Term:
         index = t[1]
         if index >= depth:
             raise FreeVariableError(f"free de Bruijn index {index}")
-        return Var(f"v{depth - 1 - index}")
+        return _new(Var, (f"v{depth - 1 - index}",))
     if tag == "abs":
-        return Abs(f"v{depth}", oracle_to_named(t[1], depth + 1))
-    return App(oracle_to_named(t[1], depth), oracle_to_named(t[2], depth))
+        return _new(Abs, (f"v{depth}", oracle_to_named(t[1], depth + 1)))
+    return _new(App, (oracle_to_named(t[1], depth), oracle_to_named(t[2], depth)))
 
 
 class HeadResult(NamedTuple):
@@ -607,7 +594,7 @@ def head_reduce(t: OTerm, fuel: int = 10_000) -> HeadResult:
     """Head-reduce t for at most ``fuel`` beta-steps.  Status "diverged"
     means a repeated machine state proved that t has no head normal form."""
     status, steps, _ = _machine(t, None, 0, fuel)
-    return HeadResult(status, steps)
+    return _new(HeadResult, (status, steps))
 
 
 # Boehm prefix nodes

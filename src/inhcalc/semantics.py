@@ -84,15 +84,19 @@ class SinglePathViolation:
     n: int
 
 
+_MISS = object()  # what a memo probe returns for a key it lacks
+
+
 def equation(tag: str):
     """Make a method one memoized equation of a demand-driven evaluator.
 
     Every equation takes one hashable key per query: its only argument, or
     the tuple of its arguments, which the body unpacks.  The instance keeps
     ``fuel`` and ``memo``, a ``defaultdict(dict)`` that holds one table per
-    equation, keyed by that key.  A miss spends one unit of fuel.  While the
-    body runs, its entry holds ``None``, so re-entering the same query
-    raises ``Divergence(Cycle)``; results are never ``None``.  A body that
+    equation, keyed by that key, and a query probes its table once.  A miss
+    spends one unit of fuel.  While the body runs, its entry holds
+    ``None``, so re-entering the same query raises ``Divergence(Cycle)``,
+    even with no fuel left; results are never ``None``.  A body that
     raises leaves no entry, so a re-query reaches the same verdict.  A
     divergence's witness is what the instance's ``_witness(tag, key)``
     makes of the query; the kernel calls it only to raise.
@@ -101,11 +105,11 @@ def equation(tag: str):
     def decorate(body):
         def run(self, key):
             memo = self.memo[tag]
-            value = memo.get(key)
-            if value is not None:
-                return value
-            if key in memo:
+            value = memo.get(key, _MISS)
+            if value is None:
                 raise DivergenceError("Cycle", self._witness(tag, key))
+            if value is not _MISS:
+                return value
             if self.fuel <= 0:
                 raise DivergenceError("FuelExhausted", self._witness(tag, key))
             self.fuel -= 1
@@ -153,7 +157,9 @@ class InternedContext:
     per label.  The context copies the program's per-id lists, whose nodes
     are ``Node``s, and copies an adopted id's children dict the first time
     it adds to it; it adds ids with ``CoreProgram._add``, each with the
-    empty node, so evaluation never changes the program.
+    empty node, so evaluation never changes the program.  The equations
+    read a node's fields by index, ``[0]`` its labels and ``[1]`` its
+    references: an index read costs less than a named field's.
     Paths are built only on the way out: public methods of a subclass
     intern their arguments and map their results back to paths, and a
     divergence is path-valued where it is raised, by ``_witness``.
@@ -233,7 +239,7 @@ class EvalContext(InternedContext):
         out = set()
         for _, overrides in self._supers(p):
             for o in overrides:
-                out |= node[o].defines
+                out |= node[o][0]
         return frozenset(out)
 
     @equation("supers")
@@ -242,7 +248,7 @@ class EvalContext(InternedContext):
         ``(init(b), overrides(b))`` entry per ``b`` in ``bases*(p)``, in its
         iteration order, each overrides set the one its memo holds."""
         parent = self._parent
-        return tuple((parent[b], self._overrides(b)) for b in self._bases_star(p))
+        return tuple([(parent[b], self._overrides(b)) for b in self._bases_star(p)])
 
     _bases_star = equation("bases*")(closure("_bases"))
 
@@ -254,7 +260,7 @@ class EvalContext(InternedContext):
         out = {p}
         for _, overrides in self._supers(self._parent[p]):
             for q in overrides:
-                if label in node[q].defines:
+                if label in node[q][0]:
                     out.add(self._child(q, label))
         return frozenset(out)
 
@@ -262,7 +268,7 @@ class EvalContext(InternedContext):
     def _bases(self, p: int) -> frozenset[int]:
         out = set()
         for p_override in self._overrides(p):
-            for n, downs in self._node[p_override].inherits:
+            for n, downs in self._node[p_override][1]:
                 if p == 0:
                     raise ScopeUnderflowError(
                         "a reference at the root has no enclosing scope"

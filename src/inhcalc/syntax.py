@@ -299,7 +299,7 @@ class CoreProgram:
     ``nodes`` is a read-only path-keyed view of the program's own nodes.
     ``defines`` and ``inherits`` read a path's labels and references as
     frozensets, empty on paths never mentioned in the source, from either
-    kind of node.  ``render`` and ``hash`` take resolved programs only.
+    kind of node.
     """
 
     def __init__(self):
@@ -347,7 +347,7 @@ class CoreProgram:
         return self._nodes() == other._nodes()
 
     def __hash__(self):
-        return hash(frozenset(self._nodes().items()))
+        return hash(frozenset((p, self.defines(p), self.inherits(p)) for p in self._nodes()))
 
     def __repr__(self):
         return f"CoreProgram({len(self.nodes)} paths)"
@@ -469,12 +469,14 @@ def ref_text(ref: Reference) -> str:
 
 
 def render(prog: CoreProgram) -> str:
-    """Deterministic surface text that re-parses to an equal CoreProgram.
+    """Deterministic surface text of any program, surface or resolved,
+    that re-parses to its resolved program.
 
     References render in indexed form only and are sorted; definitions
     are sorted lexicographically.  A definition whose body is a single
     reference with no sub-definitions uses the ``x = r`` sugar.
     """
+    prog = resolve_references(prog)
 
     def render_body(p: Path) -> str:
         node = prog.nodes.get(p, EMPTY_NODE)

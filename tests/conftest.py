@@ -97,6 +97,46 @@ class NaiveEvaluator(EvalContext):
         self.memo = defaultdict(_Forgetful)
 
 
+def rebuilt(t: Term) -> Term:
+    """t built anew, node by node, with the public constructors."""
+    if isinstance(t, Var):
+        return Var(t.name)
+    if isinstance(t, Abs):
+        return Abs(t.param, rebuilt(t.body))
+    if isinstance(t, App):
+        return App(rebuilt(t.fun), rebuilt(t.arg))
+    if isinstance(t, Let):
+        return Let(t.name, rebuilt(t.rhs), rebuilt(t.body))
+    raise TypeError(t)
+
+
+def typed(v):
+    """v with every tuple in it paired with its type, so that ``==`` on
+    the results also compares the type of every node."""
+    if isinstance(v, tuple):
+        return (type(v), tuple(map(typed, v)))
+    return v
+
+
+def term_text(t: Term) -> str:
+    """The text of a term, which ``parse_lambda`` reads back as it."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Abs):
+        return f"\\{t.param}. {term_text(t.body)}"
+    if isinstance(t, Let):
+        return f"let {t.name} = {term_text(t.rhs)} in {term_text(t.body)}"
+    if isinstance(t, App):
+        fun = term_text(t.fun)
+        arg = term_text(t.arg)
+        if isinstance(t.fun, (Abs, Let)):
+            fun = f"({fun})"
+        if not isinstance(t.arg, Var):
+            arg = f"({arg})"
+        return f"{fun} {arg}"
+    raise TypeError(t)
+
+
 def free_vars(t: Term, bound: frozenset[str] = frozenset()) -> set[str]:
     if isinstance(t, Var):
         return set() if t.name in bound else {t.name}

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import free_vars, is_anf, substitute
-from inhcalc.corpus import Verdict, _terms, corpus_terms, enumerate_closed_terms
+from conftest import free_vars, is_anf, rebuilt, substitute, term_text, typed
+from inhcalc.corpus import Verdict, _terms, corpus_terms, enumerate_closed_terms, judge
 from inhcalc.fixtures import fixture
 from inhcalc.lam import (
     Abs,
@@ -35,12 +35,11 @@ from inhcalc.lam import (
     o_var,
     oracle_to_named,
     parse_lambda,
-    term_text,
     translate,
     translate_surface,
 )
 from inhcalc.semantics import EvalContext
-from inhcalc.syntax import parse_program, render, resolve_references
+from inhcalc.syntax import Node, parse_program, render, resolve_references
 
 # ---------------------------------------------------------------------------
 # Parsing and ANF
@@ -493,6 +492,21 @@ def test_bohm_text_pinned_on_open_terms():
 def test_oracle_named_round_trip():
     for t in enumerate_closed_terms(5):
         assert named_to_oracle(oracle_to_named(t)) == t
+
+
+def test_values_built_as_tuples_are_the_classes_own():
+    """The hot paths build terms, nodes and reports with ``tuple.__new__``;
+    each value equals, node for node and type for type, what the public
+    constructors build."""
+    for ot in enumerate_closed_terms(8):
+        named = oracle_to_named(ot)
+        assert typed(rebuilt(named)) == typed(named)
+    for name, anf in corpus_terms(8):
+        assert typed(rebuilt(anf)) == typed(anf), name
+        assert all(type(n) is Node and Node(*n) == n for n in translate(anf)._node)
+        v = judge(name, anf)
+        assert type(v) is Verdict and type(v.oracle) is HeadResult, name
+        assert type(v.convergence) is type(v.direct) is ConvergenceReport, name
 
 
 # ---------------------------------------------------------------------------

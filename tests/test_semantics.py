@@ -104,6 +104,23 @@ def test_cycle_detection():
     assert exc2.value.witness == ("supers", ("a",))
 
 
+def test_a_reentered_query_is_a_cycle_before_the_fuel_runs_out():
+    """The kernel checks a query's in-flight marker before the fuel: with
+    13 units the tank is empty when properties(a) re-enters supers(a), and
+    with 12 it runs out on a fresh query first."""
+    ctx = EvalContext(fixture("cyclic_a").program(), fuel=13)
+    with pytest.raises(DivergenceError) as exc:
+        ctx.properties(("a",))
+    assert (exc.value.kind, exc.value.witness) == ("Cycle", ("supers", ("a",)))
+    assert ctx.fuel == 0
+    ctx = EvalContext(fixture("cyclic_a").program(), fuel=12)
+    with pytest.raises(DivergenceError) as exc:
+        ctx.properties(("a",))
+    assert (exc.value.kind, exc.value.witness) == (
+        "FuelExhausted", ("overrides", ("a", "b"))
+    )
+
+
 def test_sibling_mutual_inheritance_terminates():
     ctx = EvalContext(parse_program("{a = {b, x = {}}, b = {a, y = {}}}"))
     assert ctx.properties(("a",)) == {"x", "y"}

@@ -309,6 +309,21 @@ def test_surface_program_reads_like_its_resolution():
     assert surface.inherits(("c",)) == {LexicalRef(("a",))}
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_render_and_hash_read_a_surface_program(name):
+    source = fixture(name).source
+    surface = parse(source)
+    assert render(surface) == render(parse_program(source))
+    shuffled = parse(mutated_text(surface, random.Random(0)))
+    assert shuffled == surface and hash(shuffled) == hash(surface)
+
+
+def test_render_and_hash_read_lexical_references():
+    surface = parse("{a = {b = {}}, c = a}")
+    assert render(surface) == "{a = {b = {}}, c = ^0.a}"
+    assert hash(surface) == hash(parse("{c = a, a = {}, a = {b = {}}}"))
+
+
 @pytest.mark.parametrize(
     "kind, name",
     [("fixture", name) for name in FIXTURE_NAMES]
