@@ -23,9 +23,6 @@ from .lam import (
     converges,
     head_reduce,
     named_to_oracle,
-    o_abs,
-    o_app,
-    o_var,
     oracle_to_named,
     translate,
 )
@@ -40,13 +37,13 @@ def _terms(size: int, depth: int) -> tuple[OTerm, ...]:
     below `depth`."""
     out: list[OTerm] = []
     if size == 1:
-        out.extend(o_var(i) for i in range(depth))
+        out.extend(("var", i) for i in range(depth))
     if size >= 2:
-        out.extend(o_abs(b) for b in _terms(size - 1, depth + 1))
+        out.extend(("abs", b) for b in _terms(size - 1, depth + 1))
     for left in range(1, size - 1):
         for f in _terms(left, depth):
             for a in _terms(size - 1 - left, depth):
-                out.append(o_app(f, a))
+                out.append(("app", f, a))
     return tuple(out)
 
 

@@ -476,18 +476,6 @@ def converges(
 OTerm = tuple
 
 
-def o_var(n: int) -> OTerm:
-    return ("var", n)
-
-
-def o_abs(body: OTerm) -> OTerm:
-    return ("abs", body)
-
-
-def o_app(fun: OTerm, arg: OTerm) -> OTerm:
-    return ("app", fun, arg)
-
-
 def named_to_oracle(t: Term, env: tuple[str, ...] = ()) -> OTerm:
     """Convert a named term to an oracle de Bruijn term.  Let-bindings are
     expanded as beta-redexes: let x = M in N == (\\x. N) M."""

@@ -38,15 +38,8 @@ class _AboveRoot:
 
     It can never be selected by a ``this`` step: the only super pair that
     carries it has override ``()``, and stepping with a root definition
-    scope underflows first.
+    scope underflows first.  ``ABOVE_ROOT`` is its one instance.
     """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "AboveRoot"
@@ -155,9 +148,10 @@ class InternedContext:
     allocates nothing, and a path that extends the last one interned
     costs one dict lookup per label beyond it; any other path costs one
     per label.  The context copies the program's per-id lists, whose nodes
-    are ``Node``s, and copies an adopted id's children dict the first time
-    it adds to it; it adds ids with ``CoreProgram._add``, each with the
-    empty node, so evaluation never changes the program.  The equations
+    are ``Node``s, and copies the children dict of an adopted id (one below
+    the program's length) the first time it adds to it; it adds ids with
+    ``CoreProgram._add``, each with the empty node, so evaluation never
+    changes the program.  The equations
     read a node's fields by index, ``[0]`` its labels and ``[1]`` its
     references: an index read costs less than a named field's.
     Paths are built only on the way out: public methods of a subclass
@@ -179,13 +173,12 @@ class InternedContext:
         self._label: list = list(program._label)
         self._kids: list[dict[str, int]] = list(program._kids)
         self._node: list[Node] = list(program._node)
-        self._adopted = len(self._node)
         self._last: tuple = ((), 0)  # the last path interned, and its id
 
     def _add_child(self, i: int, label: str) -> int:
         """Intern the child ``label`` of id ``i``, which has none yet."""
         kids = self._kids
-        if i < self._adopted and kids[i] is self.program._kids[i]:
+        if i < len(self.program._kids) and kids[i] is self.program._kids[i]:
             kids[i] = dict(kids[i])
         return CoreProgram._add(self, i, label)
 
@@ -225,11 +218,19 @@ class InternedContext:
 
 class EvalContext(InternedContext):
     """Memoization tables, fuel and interned paths for one program: the
-    six equations, run on path ids."""
+    six equations, run on path ids.  The equations write nothing but the
+    memo and the trie; what an evaluation found out is read off the memo,
+    as ``single_path_violations`` is."""
 
-    def __init__(self, program: CoreProgram, fuel: int = DEFAULT_FUEL):
-        super().__init__(program, fuel)
-        self.single_path_violations: list[SinglePathViolation] = []
+    @property
+    def single_path_violations(self) -> list[SinglePathViolation]:
+        """The completed ``this`` steps whose frontier is not one path, in
+        the order of their memo keys: the order their bodies began."""
+        return [
+            SinglePathViolation(self._paths(S), self._paths(p_def), n)
+            for (S, p_def, n), value in self.memo.get("this", {}).items()
+            if n and len(S) != 1 and value is not None
+        ]
 
     # -- the equations, on path ids -----------------------------------------
 
@@ -295,10 +296,6 @@ class EvalContext(InternedContext):
         S, p_def, n = key
         if n == 0:
             return S
-        if len(S) != 1:
-            self.single_path_violations.append(
-                SinglePathViolation(self._paths(S), self._paths(p_def), n)
-            )
         if p_def == 0:
             raise ScopeUnderflowError(f"this step above the root (n={n} remaining)")
         frontier = set()

@@ -39,7 +39,6 @@ import string
 from collections.abc import Mapping
 from typing import NamedTuple
 
-Label = str
 Path = tuple[str, ...]
 
 ROOT: Path = ()
@@ -296,10 +295,11 @@ class CoreProgram:
     with ``_add`` on their copies of the lists, and never change the
     program's.
 
-    ``nodes`` is a read-only path-keyed view of the program's own nodes.
-    ``defines`` and ``inherits`` read a path's labels and references as
-    frozensets, empty on paths never mentioned in the source, from either
-    kind of node.
+    ``nodes`` is a read-only path-keyed view of the program's own nodes,
+    read off the trie: a path is looked up by walking the children from
+    the root, and the paths iterate in id order.  ``defines`` and
+    ``inherits`` read a path's labels and references as frozensets, empty
+    on paths never mentioned in the source, from either kind of node.
     """
 
     def __init__(self):
@@ -307,7 +307,6 @@ class CoreProgram:
         self._label: list = [None]
         self._kids: list[dict[str, int]] = [{}]
         self._node: list = [EMPTY_NODE]
-        self._table: dict[Path, Node] | None = None
 
     def _add(self, i: int, label: str, node=EMPTY_NODE) -> int:
         """Add the child ``label`` of id ``i``, which has none yet, with its
@@ -323,39 +322,29 @@ class CoreProgram:
     def nodes(self) -> Mapping[Path, Node]:
         return _NodeView(self)
 
-    def _nodes(self) -> dict[Path, Node]:
-        """The path-keyed table, in id order, built on first use."""
-        if self._table is None:
-            paths: list[Path] = [ROOT]
-            for i in range(1, len(self._node)):
-                paths.append(paths[self._parent[i]] + (self._label[i],))
-            self._table = dict(zip(paths, self._node))
-        return self._table
-
     def defines(self, p: Path) -> frozenset[str]:
-        return frozenset(self._nodes().get(p, EMPTY_NODE)[0])
+        return frozenset(self.nodes.get(p, EMPTY_NODE)[0])
 
     def inherits(self, p: Path) -> frozenset[Reference]:
-        return frozenset(self._nodes().get(p, EMPTY_NODE)[1])
+        return frozenset(self.nodes.get(p, EMPTY_NODE)[1])
 
     def paths(self) -> list[Path]:
-        return sorted(self._nodes())
+        return sorted(self.nodes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoreProgram):
             return NotImplemented
-        return self._nodes() == other._nodes()
+        return self.nodes == other.nodes
 
     def __hash__(self):
-        return hash(frozenset((p, self.defines(p), self.inherits(p)) for p in self._nodes()))
+        return hash(frozenset((p, self.defines(p), self.inherits(p)) for p in self.nodes))
 
     def __repr__(self):
         return f"CoreProgram({len(self.nodes)} paths)"
 
 
 class _NodeView(Mapping):
-    """A program's nodes by path, read-only.  The length is known at once;
-    the path-keyed table behind the rest is built on first use."""
+    """A program's nodes by path, read-only, read off its trie."""
 
     def __init__(self, program: CoreProgram):
         self._program = program
@@ -364,10 +353,14 @@ class _NodeView(Mapping):
         return len(self._program._node)
 
     def __getitem__(self, p: Path) -> Node:
-        return self._program._nodes()[p]
+        kids, i = self._program._kids, 0
+        for label in p:
+            i = kids[i][label]
+        return self._program._node[i]
 
     def __iter__(self):
-        return iter(self._program._nodes())
+        program = self._program
+        return (trie_path(program, i) for i in range(len(program._node)))
 
 
 def resolve_references(surface: CoreProgram) -> CoreProgram:

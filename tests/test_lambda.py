@@ -30,9 +30,6 @@ from inhcalc.lam import (
     converges,
     head_reduce,
     named_to_oracle,
-    o_abs,
-    o_app,
-    o_var,
     oracle_to_named,
     parse_lambda,
     translate,
@@ -402,9 +399,9 @@ def test_head_reduce_proves_corpus_t9899_divergent():
 def test_oracle_reduces_long_identity_chains(k):
     # (\x. x) ((\x. x) (... (\y. y))), built by a loop: the parser and
     # named_to_oracle still recurse, the machine does not.
-    t = o_abs(o_var(0))
+    t = ("abs", ("var", 0))
     for _ in range(k):
-        t = o_app(o_abs(o_var(0)), t)
+        t = ("app", ("abs", ("var", 0)), t)
     result = head_reduce(t, fuel=2 * k)
     assert (result.status, result.steps) == ("hnf", k)
     assert bohm_text(bohm_prefix(t, fuel=2 * k)) == "λ^1. 0"
@@ -564,7 +561,7 @@ def _corpus_redexes():
     out = []
     for body in bodies:
         for value in values:
-            redex = anf_transform(oracle_to_named(o_app(o_abs(body), value)))
+            redex = anf_transform(oracle_to_named(("app", ("abs", body), value)))
             if isinstance(redex, App) and isinstance(redex.fun, Abs):
                 out.append(redex)
     return out

@@ -65,6 +65,20 @@ def test_this_step_with_two_sites():
     assert DEFAULT_FUEL - ctx.fuel == 130
 
 
+def test_single_path_violations_are_the_completed_this_steps():
+    # A this step logs nothing itself: the violations are the memo's
+    # completed keys with a frontier of other than one path.
+    prog = parse_program("{a = {}, b = {}, x = {y = {}}}")
+    ab = frozenset({("a",), ("b",)})
+    ctx = EvalContext(prog)
+    with pytest.raises(ScopeUnderflowError):
+        ctx.this(ab, ("x",), 2)
+    assert ctx.single_path_violations == []
+    ctx = EvalContext(prog)
+    assert ctx.this(ab, ("x", "y"), 1) == frozenset()
+    assert ctx.single_path_violations == [SinglePathViolation(ab, ("x", "y"), 1)]
+
+
 def test_root_supers_uses_above_root_sentinel():
     ctx = EvalContext(parse_program("{a = {}}"))
     assert ctx.supers(()) == {(ABOVE_ROOT, ())}

@@ -10,6 +10,7 @@ from inhcalc.corpus import corpus_terms
 from inhcalc.fixtures import FIXTURE_NAMES, FRAGMENT_DEPS, fixture, fragment_program
 from inhcalc.lam import translate
 from inhcalc.syntax import (
+    CoreProgram,
     LexicalRef,
     Node,
     ParseError,
@@ -322,6 +323,48 @@ def test_render_and_hash_read_lexical_references():
     surface = parse("{a = {b = {}}, c = a}")
     assert render(surface) == "{a = {b = {}}, c = ^0.a}"
     assert hash(surface) == hash(parse("{c = a, a = {}, a = {b = {}}}"))
+
+
+def _table(prog):
+    """The program's nodes as a path-keyed dict in id order, built from its
+    per-id lists, not through ``nodes``."""
+    paths = [()]
+    for i in range(1, len(prog._node)):
+        paths.append(paths[prog._parent[i]] + (prog._label[i],))
+    return dict(zip(paths, prog._node))
+
+
+def _trie_programs():
+    for name in FIXTURE_NAMES:
+        source = fixture(name).source
+        yield f"{name} parsed", parse(source)
+        yield f"{name} resolved", parse_program(source)
+    for name, t in corpus_terms(7):
+        yield name, translate(t)
+
+
+def test_nodes_view_reads_the_trie():
+    for name, prog in _trie_programs():
+        table = _table(prog)
+        assert list(prog.nodes) == list(table), name
+        assert dict(prog.nodes) == table and len(prog.nodes) == len(table), name
+        deepest = max(table, key=len)
+        for missing in (("no such label",), deepest + ("missing",)):
+            with pytest.raises(KeyError):
+                prog.nodes[missing]
+            assert prog.nodes.get(missing, "default") == "default", name
+            assert missing not in prog.nodes
+        assert prog.paths() == sorted(table), name
+        assert hash(prog) == hash(
+            frozenset((p, frozenset(d), frozenset(r)) for p, (d, r) in table.items())
+        ), name
+        # The same nodes under other ids, added level by level.
+        copy, ids = CoreProgram(), {(): 0}
+        copy._node[0] = table[()]
+        for p in sorted(table, key=lambda p: (len(p), p))[1:]:
+            ids[p] = copy._add(ids[p[:-1]], p[-1], table[p])
+        assert copy == prog and hash(copy) == hash(prog), name
+        assert prog != CoreProgram(), name
 
 
 @pytest.mark.parametrize(
