@@ -77,7 +77,7 @@ class DirectContext(InternedContext):
     def _grafts(self, p: int) -> frozenset[int]:
         if p == 0:
             return frozenset({0})
-        node = self._node
+        node, kids = self._node, self._kids
         out = {p}
         last = self._label[p]
         # A graft position of p is any graft of any transitive callee
@@ -87,14 +87,14 @@ class DirectContext(InternedContext):
         for p_step in self._callee_star(self._parent[p]):
             for p_graft in self._grafts(p_step):
                 if last in node[p_graft][0]:
-                    out.add(self._child(p_graft, last))
+                    out.add(kids[p_graft].get(last) or self._add_child(p_graft, last))
         return frozenset(out)
 
     _callee_star = equation("callee*")(closure("_callee"))
 
     @equation("callee")
     def _callee(self, p: int) -> frozenset[int]:
-        parent, node = self._parent, self._node
+        parent, node, kids = self._parent, self._node, self._kids
         out = set()
         for p_graft in self._grafts(p):
             for n, downs in node[p_graft][1]:
@@ -104,7 +104,7 @@ class DirectContext(InternedContext):
                     )
                 target = self._scope((parent[p], parent[p_graft], n))
                 for label in downs:
-                    target = self._child(target, label)
+                    target = kids[target].get(label) or self._add_child(target, label)
                 out.add(target)
         return frozenset(out)
 

@@ -481,10 +481,11 @@ def named_to_oracle(t: Term, env: tuple[str, ...] = ()) -> OTerm:
     expanded as beta-redexes: let x = M in N == (\\x. N) M."""
     if isinstance(t, Var):
         (var,) = t
-        for i, name in enumerate(env):
-            if name == var:
-                return ("var", i)
-        raise FreeVariableError(f"unbound variable {var!r}")
+        try:
+            # env is innermost first, so the first match is the binder
+            return ("var", env.index(var))
+        except ValueError:
+            raise FreeVariableError(f"unbound variable {var!r}") from None
     if isinstance(t, Abs):
         param, body = t
         return ("abs", named_to_oracle(body, (param,) + env))
@@ -499,15 +500,21 @@ def named_to_oracle(t: Term, env: tuple[str, ...] = ()) -> OTerm:
     raise TypeError(t)
 
 
+_LEVEL_NAMES = tuple(f"v{k}" for k in range(64))  # read, not formatted, below 64
+
+
 def oracle_to_named(t: OTerm, depth: int = 0) -> Term:
+    """The named term of t, under ``depth`` binders: level k is ``v<k>``."""
     tag = t[0]
     if tag == "var":
         index = t[1]
         if index >= depth:
             raise FreeVariableError(f"free de Bruijn index {index}")
-        return _new(Var, (f"v{depth - 1 - index}",))
+        k = depth - 1 - index
+        return _new(Var, (_LEVEL_NAMES[k] if k < 64 else f"v{k}",))
     if tag == "abs":
-        return _new(Abs, (f"v{depth}", oracle_to_named(t[1], depth + 1)))
+        name = _LEVEL_NAMES[depth] if 0 <= depth < 64 else f"v{depth}"
+        return _new(Abs, (name, oracle_to_named(t[1], depth + 1)))
     return _new(App, (oracle_to_named(t[1], depth), oracle_to_named(t[2], depth)))
 
 
@@ -543,11 +550,7 @@ def _machine(term: OTerm, env, binders: int, fuel: int):
     ids.  The machine is deterministic and no step reads a level's value,
     so a state that repeats after a beta-step proves divergence.
     """
-    cells: dict = {}
-
-    def cons(head, tail):
-        return cells.setdefault((id(head), id(tail)), (head, tail))
-
+    intern = {}.setdefault  # a cell is intern((id(head), id(tail)), (head, tail))
     stack = None
     steps = 0
     seen = set()
@@ -557,8 +560,11 @@ def _machine(term: OTerm, env, binders: int, fuel: int):
             arg = term[2]
             # a variable argument pushes the entry its environment holds,
             # not a new closure of it, so Ω's state repeats
-            entry = _lookup(env, arg[1]) if arg[0] == "var" else cons(arg, env)
-            stack = cons(entry, stack)
+            if arg[0] == "var":
+                entry = _lookup(env, arg[1])
+            else:
+                entry = intern((id(arg), id(env)), (arg, env))
+            stack = intern((id(entry), id(stack)), (entry, stack))
             term = term[1]
         elif tag == "var":
             entry = _lookup(env, term[1])
@@ -566,12 +572,14 @@ def _machine(term: OTerm, env, binders: int, fuel: int):
                 return "hnf", steps, (binders - 1 - entry, binders, stack)
             term, env = entry
         elif stack is None:  # no argument waits: go under the binder
-            env, binders, term = cons(binders, env), binders + 1, term[1]
+            env = intern((id(binders), id(env)), (binders, env))
+            binders, term = binders + 1, term[1]
         elif steps == fuel:
             return "fuel", steps, None
         else:  # a beta-step binds the waiting argument
             steps += 1
-            env, stack, term = cons(stack[0], env), stack[1], term[1]
+            entry, stack = stack
+            env, term = intern((id(entry), id(env)), (entry, env)), term[1]
             state = (id(term), id(env), id(stack))
             if state in seen:
                 return "diverged", steps, None

@@ -176,16 +176,13 @@ class InternedContext:
         self._last: tuple = ((), 0)  # the last path interned, and its id
 
     def _add_child(self, i: int, label: str) -> int:
-        """Intern the child ``label`` of id ``i``, which has none yet."""
+        """Intern the child ``label`` of id ``i``, which has none yet.  No
+        child is the root, so a known child's id is nonzero, and a step to
+        the child reads ``self._kids[i].get(label) or self._add_child(i, label)``."""
         kids = self._kids
         if i < len(self.program._kids) and kids[i] is self.program._kids[i]:
             kids[i] = dict(kids[i])
         return CoreProgram._add(self, i, label)
-
-    def _child(self, i: int, label: str) -> int:
-        """The id of the child ``label`` of id ``i``.  No child is the
-        root, so a known child's id is nonzero."""
-        return self._kids[i].get(label) or self._add_child(i, label)
 
     def _intern(self, p: Path) -> int:
         """The id of path ``p``.  A path that extends the last one interned
@@ -226,9 +223,12 @@ class EvalContext(InternedContext):
     def single_path_violations(self) -> list[SinglePathViolation]:
         """The completed ``this`` steps whose frontier is not one path, in
         the order of their memo keys: the order their bodies began."""
+        table = self.memo.get("this")
+        if not table:  # most evaluations make no ``this`` query
+            return []
         return [
             SinglePathViolation(self._paths(S), self._paths(p_def), n)
-            for (S, p_def, n), value in self.memo.get("this", {}).items()
+            for (S, p_def, n), value in table.items()
             if n and len(S) != 1 and value is not None
         ]
 
@@ -257,12 +257,12 @@ class EvalContext(InternedContext):
     def _overrides(self, p: int) -> frozenset[int]:
         if p == 0:
             return frozenset({0})
-        label, node = self._label[p], self._node
+        label, node, kids = self._label[p], self._node, self._kids
         out = {p}
         for _, overrides in self._supers(self._parent[p]):
             for q in overrides:
                 if label in node[q][0]:
-                    out.add(self._child(q, label))
+                    out.add(kids[q].get(label) or self._add_child(q, label))
         return frozenset(out)
 
     @equation("bases")
@@ -284,10 +284,11 @@ class EvalContext(InternedContext):
             raise ScopeUnderflowError(
                 "resolve requires a nonempty definition-site path"
             )
+        kids = self._kids
         out = set()
         for current in self._this((frozenset({p_site}), self._parent[p_def], n)):
             for label in downs:
-                current = self._child(current, label)
+                current = kids[current].get(label) or self._add_child(current, label)
             out.add(current)
         return frozenset(out)
 

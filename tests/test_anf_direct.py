@@ -205,7 +205,7 @@ class _PlainWalk:
     def _intern(self, p):
         i = 0
         for label in p:
-            i = self._child(i, label)
+            i = self._kids[i].get(label) or self._add_child(i, label)
         return i
 
 

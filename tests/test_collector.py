@@ -14,7 +14,15 @@ import pytest
 from inhcalc.anf_direct import converges_direct
 from inhcalc.corpus import corpus_terms, judge
 from inhcalc.fixtures import FIXTURE_NAMES, fixture
-from inhcalc.lam import NAMED_TERMS, anf_transform, converges, parse_lambda, translate
+from inhcalc.lam import (
+    NAMED_TERMS,
+    anf_transform,
+    bohm_prefix,
+    converges,
+    named_to_oracle,
+    parse_lambda,
+    translate,
+)
 from inhcalc.semantics import DivergenceError, EvalContext
 from inhcalc.syntax import parse_program
 
@@ -62,6 +70,8 @@ def _cases():
     yield "observe-cyclic_a-raises", lambda: EvalContext(cyclic).observe((), 4), DivergenceError
     nest = _nest()
     yield "properties-nest", lambda: EvalContext(nest).properties(DEEP), RecursionError
+    s_term = named_to_oracle(NAMED_TERMS["S"])
+    yield "bohm_prefix-S", lambda: bohm_prefix(s_term, depth=3), None
     terms = corpus_terms(7)
     yield "judge-corpus-7", lambda: _judge_all(terms), None
     chain = _chain()

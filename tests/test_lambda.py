@@ -376,6 +376,26 @@ def test_converges_church_arithmetic():
 # Oracle
 # ---------------------------------------------------------------------------
 
+def test_named_to_oracle_reads_the_innermost_binder():
+    assert named_to_oracle(Abs("x", Abs("x", Var("x")))) == ("abs", ("abs", ("var", 0)))
+    assert named_to_oracle(Abs("x", Abs("y", Var("x")))) == ("abs", ("abs", ("var", 1)))
+    with pytest.raises(FreeVariableError) as info:
+        named_to_oracle(Abs("x", App(Var("x"), Var("z"))))
+    assert str(info.value) == "unbound variable 'z'"
+
+
+def test_oracle_to_named_names_levels_past_its_name_table():
+    # 80 binders: the first 64 names are read from a table, the rest
+    # formatted, all as v<level>
+    k = 80
+    t = ("app", ("var", 0), ("var", k - 1))
+    named = App(Var(f"v{k - 1}"), Var("v0"))
+    for level in reversed(range(k)):
+        t, named = ("abs", t), Abs(f"v{level}", named)
+    assert oracle_to_named(t) == named
+    assert named_to_oracle(oracle_to_named(t)) == t
+
+
 def test_head_reduce_value_is_hnf_in_zero_steps():
     result = head_reduce(named_to_oracle(NAMED_TERMS["I"]))
     assert (result.status, result.steps) == ("hnf", 0)

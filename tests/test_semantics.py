@@ -79,6 +79,13 @@ def test_single_path_violations_are_the_completed_this_steps():
     assert ctx.single_path_violations == [SinglePathViolation(ab, ("x", "y"), 1)]
 
 
+def test_no_this_query_reads_no_violations_and_adds_no_this_table():
+    ctx = EvalContext(parse_program("{a = {b = {}}, c = {}}"))
+    ctx.observe((), 3)
+    assert ctx.single_path_violations == []
+    assert "this" not in ctx.memo
+
+
 def test_root_supers_uses_above_root_sentinel():
     ctx = EvalContext(parse_program("{a = {}}"))
     assert ctx.supers(()) == {(ABOVE_ROOT, ())}
