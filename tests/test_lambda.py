@@ -168,6 +168,32 @@ def test_anf_of_nested_application():
     assert is_anf(anf)
 
 
+def _chain_text(k):
+    """(\\x0. x0) ((\\x1. x1) (... (\\y. y))): k identity redexes."""
+    return "".join(f"(\\x{i}. x{i}) (" for i in range(k)) + "\\y. y" + ")" * k
+
+
+def _spine_text(n):
+    """\\f. f f ... f: f applied to n arguments."""
+    return "\\f. " + " ".join(["f"] * (n + 1))
+
+
+# SHA-256 of the term_text of anf_transform(t), one line per term, over the
+# named forms of enumerate_closed_terms(10), NAMED_TERMS in name order, the
+# 30- and 120-redex identity chains and a 50-argument spine: pins the ANF
+# shape and the order in which fresh names are drawn.
+ANF_TEXT_SHA256 = "359d836e4437fabc0be9752393075379b4551bc1b5964b863a85f61c85e5fde6"
+
+
+def test_anf_text_pinned():
+    terms = [oracle_to_named(t) for t in enumerate_closed_terms(10)]
+    terms += [NAMED_TERMS[name] for name in sorted(NAMED_TERMS)]
+    terms += [parse_lambda(_chain_text(k)) for k in (30, 120)]
+    terms.append(parse_lambda(_spine_text(50)))
+    text = "\n".join(term_text(anf_transform(t)) for t in terms)
+    assert hashlib.sha256(text.encode()).hexdigest() == ANF_TEXT_SHA256
+
+
 def test_anf_is_idempotent_on_anf_terms():
     anf = anf_transform(NAMED_TERMS["eq"])
     assert anf_transform(anf) == anf
