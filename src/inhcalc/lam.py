@@ -21,9 +21,15 @@ and ``HeadResult``, and the Böhm nodes are immutable named tuples, like
 ``syntax.Node``: equal values compare and hash equal, and a field cannot
 be set.  Unlike the frozen dataclasses they were, a value also equals the
 plain tuple of its fields: ``Var("x") == ("x",)`` is True.  The hot paths
-(``oracle_to_named``, ``anf_transform``, ``translate``'s ``Node``s and
-the two reports) build them with ``_new(Cls, fields)``: the body of the
-generated constructor without its Python frame, at about half its cost.
+(``parse_lambda``, ``oracle_to_named``, ``anf_transform``, ``translate``'s
+``Node``s and the two reports) build them with ``_new(Cls, fields)``: the
+body of the generated constructor without its Python frame, at about half
+its cost.
+
+``anf_transform`` and ``translate`` walk a chain of applications and a run
+of lets in a loop, so a long spine or let chain costs them no stack frame
+per link; each binder still costs two.  The parser recurses per nested
+term and loops only over juxtaposition.
 """
 
 from __future__ import annotations
@@ -149,15 +155,15 @@ class _LamParser(_Reader):
         scope[name] = scope.get(name, 0) + 1
         body = self.parse_term()
         scope[name] -= 1
-        return Abs(name, body) if rhs is None else Let(name, rhs, body)
+        return _new(Abs, (name, body)) if rhs is None else _new(Let, (name, rhs, body))
 
     def parse_application(self) -> Term:
         t = self.parse_atom()
         while (kind := self.kinds[self.i]) in ("lp", "ident", "lam"):
             if kind == "lam":
                 # allow "f \x. M" to consume the trailing abstraction
-                return App(t, self.parse_term())
-            t = App(t, self.parse_atom())
+                return _new(App, (t, self.parse_term()))
+            t = _new(App, (t, self.parse_atom()))
         return t
 
     def parse_atom(self) -> Term:
@@ -168,7 +174,7 @@ class _LamParser(_Reader):
             name = self.texts[i]
             if not self.scope.get(name):
                 self.free.add(name)
-            return Var(name)
+            return _new(Var, (name,))
         if kind == "lp":
             self.i = i + 1
             t = self.parse_term()
@@ -206,7 +212,10 @@ class _Anf:
     ties them in a cycle and reference counting frees the normalizer when
     it returns.  Each helper returns its input itself when conversion
     changes none of its parts, so only a spine that gains lets is rebuilt.
-    Binding is inline, so a binder costs two stack frames."""
+    Binding is inline, so a binder costs two stack frames.  A chain of two
+    or more applications in argument or in function position, and a run
+    of ANF lets, take one loop step per link and draw fresh names in the
+    order the recursion would."""
 
     def __init__(self):
         self.scope: dict[str, int] = {}
@@ -237,11 +246,72 @@ class _Anf:
 
     def application(self, u: App, lets: list) -> App:
         """u with both parts atomized, arguments first; the lets they
-        need go to lets."""
+        need go to lets.  A chain of two or more applications in argument
+        or in function position is walked in a loop."""
         fun, arg = u
-        new_arg = self.atomize(arg, lets)
-        new_fun = self.atomize(fun, lets)
+        if isinstance(arg, Var):
+            new_arg = arg
+        elif isinstance(arg, App) and isinstance(arg[1], App):
+            return self.argument_chain(u, lets)
+        else:
+            new_arg = self.atomize(arg, lets)
+        if isinstance(fun, Var):
+            new_fun = fun
+        elif isinstance(fun, App) and isinstance(fun[0], App):
+            return self.function_chain(u, new_arg, lets)
+        else:
+            new_fun = self.atomize(fun, lets)
         return u if new_fun is fun and new_arg is arg else _new(App, (new_fun, new_arg))
+
+    def argument_chain(self, u: App, lets: list) -> App:
+        """``application`` of ``f0 (f1 (… (fm v)))``: the links, a let in
+        argument position read as its redex, are atomized innermost first,
+        each one's function after the let of its argument."""
+        links = [u]
+        arg = u[1]
+        while True:
+            if isinstance(arg, Let):
+                name, rhs, body = arg
+                arg = _new(App, (_new(Abs, (name, body)), rhs))
+            elif not isinstance(arg, App):
+                break
+            links.append(arg)
+            arg = arg[1]
+        new_arg = self.atomize(arg, lets)
+        for link in reversed(links):
+            fun, arg = link
+            new_fun = self.atomize(fun, lets)
+            app = link if new_fun is fun and new_arg is arg else _new(App, (new_fun, new_arg))
+            if link is u:
+                return app
+            name = self.fresh()
+            lets.append((name, app))
+            new_arg = _new(Var, (name,))
+
+    def function_chain(self, u: App, new_arg: Term, lets: list) -> App:
+        """``application`` of ``h a1 a2 … an``: the arguments are atomized
+        outermost first, then the head, and the links, a let in function
+        position read as its redex, are named innermost first."""
+        fun = u[0]
+        links = [(u, new_arg)]
+        while True:
+            if isinstance(fun, Let):
+                name, rhs, body = fun
+                fun = _new(App, (_new(Abs, (name, body)), rhs))
+            elif not isinstance(fun, App):
+                break
+            link = fun
+            fun, arg = link
+            links.append((link, self.atomize(arg, lets)))
+        new_fun = self.atomize(fun, lets)
+        for link, new_arg in reversed(links):
+            fun, arg = link
+            app = link if new_fun is fun and new_arg is arg else _new(App, (new_fun, new_arg))
+            if link is u:
+                return app
+            name = self.fresh()
+            lets.append((name, app))
+            new_fun = _new(Var, (name,))
 
     def atomize(self, u: Term, lets: list) -> Term:
         if is_value(u):
@@ -258,22 +328,31 @@ class _Anf:
         if is_value(u):
             return self.to_value(u)
         if isinstance(u, Let):
-            name, rhs, body = u
-            if isinstance(rhs, App) and is_value(rhs[0]) and is_value(rhs[1]):
+            # a run of lets whose right sides are applications of values
+            # takes one loop: each right side, then its name bound over the rest
+            scope = self.scope
+            run = []
+            while isinstance(u, Let):
+                name, rhs, body = u
+                if not (isinstance(rhs, App) and is_value(rhs[0]) and is_value(rhs[1])):
+                    if run:
+                        break
+                    return self.to_comp(_new(App, (_new(Abs, (name, body)), rhs)))
                 fun, arg = rhs
                 new_fun, new_arg = self.to_value(fun), self.to_value(arg)
-                scope = self.scope
+                if new_fun is not fun or new_arg is not arg:
+                    rhs = _new(App, (new_fun, new_arg))
+                run.append((u, rhs))
                 scope[name] = scope.get(name, 0) + 1
-                new_body = self.to_comp(body)
+                u = body
+            out = self.to_comp(u)
+            for let, new_rhs in reversed(run):
+                name, rhs, body = let
                 scope[name] -= 1
-                if new_fun is fun and new_arg is arg:
-                    if new_body is body:
-                        return u
-                    new_rhs = rhs
-                else:
-                    new_rhs = _new(App, (new_fun, new_arg))
-                return _new(Let, (name, new_rhs, new_body))
-            return self.to_comp(_new(App, (_new(Abs, (name, body)), rhs)))
+                if new_rhs is not rhs or out is not body:
+                    let = _new(Let, (name, new_rhs, out))
+                out = let
+            return out
         # u is an application spine
         lets: list = []
         out: Term = self.application(u, lets)
@@ -354,16 +433,33 @@ class _Translation:
             add(i, "argument")
             self.bound(param, level, _ARGUMENT, body, add(i, "result"))
         elif isinstance(m, Let):
-            name, rhs, body = m
-            if name in SYNTHETIC_LABELS:
-                raise SyntheticNameCollision(
-                    f"let-name {name!r} collides with a synthetic label"
-                )
-            if not isinstance(rhs, App):
-                raise ValueError(_NOT_ANF)
-            node[i] = _new(Node, (frozenset((name, "result")), ()))
-            self.application(rhs, add(i, name), level + 1)
-            self.bound(name, level, (name, "result"), body, add(i, "result"))
+            # a run of lets takes one loop: each let's record, its right
+            # side, then its name bound over the rest of the run
+            scope = self.scope
+            run = []
+            while True:
+                name, rhs, body = m
+                if name in SYNTHETIC_LABELS:
+                    raise SyntheticNameCollision(
+                        f"let-name {name!r} collides with a synthetic label"
+                    )
+                if not isinstance(rhs, App):
+                    raise ValueError(_NOT_ANF)
+                node[i] = _new(Node, (frozenset((name, "result")), ()))
+                self.application(rhs, add(i, name), level + 1)
+                i = add(i, "result")
+                run.append((name, scope.get(name)))
+                scope[name] = (level, (name, "result"))
+                level += 1
+                if not isinstance(body, Let):
+                    break
+                m = body
+            self.comp(body, i, level)
+            for name, outer in reversed(run):
+                if outer is None:
+                    del scope[name]
+                else:
+                    scope[name] = outer
         elif isinstance(m, App):
             node[i] = _TAIL_NODE
             add(i, "result", _FORWARD_NODE)

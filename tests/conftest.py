@@ -110,6 +110,24 @@ def rebuilt(t: Term) -> Term:
     raise TypeError(t)
 
 
+def chain_text(k: int) -> str:
+    """(\\x0. x0) ((\\x1. x1) (... (\\y. y))): k identity redexes."""
+    return "".join(f"(\\x{i}. x{i}) (" for i in range(k)) + "\\y. y" + ")" * k
+
+
+def spine_text(n: int) -> str:
+    """\\f. f f ... f: f applied to n arguments."""
+    return "\\f. " + " ".join(["f"] * (n + 1))
+
+
+def let_chain(n: int) -> Term:
+    """\\f. let x0 = f f in let x1 = x0 f in ... in x<n-1>, built by a loop."""
+    t = Var(f"x{n - 1}")
+    for k in reversed(range(n)):
+        t = Let(f"x{k}", App(Var(f"x{k - 1}") if k else Var("f"), Var("f")), t)
+    return Abs("f", t)
+
+
 def typed(v):
     """v with every tuple in it paired with its type, so that ``==`` on
     the results also compares the type of every node."""

@@ -145,6 +145,15 @@ def test_lambda_converges_long_chain_is_resource_limit(runner):
     _assert_resource_limit(result)
 
 
+def test_lambda_converges_long_spine_is_not_nested(runner):
+    # f applied to 2,000 arguments is a long spine, not a deep nest: every
+    # stage up to the scan walks it in a loop
+    spine = "(\\f. " + " ".join(["f"] * 2_001) + ") (\\x. x)"
+    result = runner.invoke(main, ["lambda", "converges", spine, "--max-depth", "4"])
+    assert result.exit_code == 0
+    assert result.output == "not converged: DepthExceeded\n"
+
+
 def test_lambda_bohm(runner):
     result = runner.invoke(main, ["lambda", "bohm", r"\t. \f. t", "--depth", "1"])
     assert result.exit_code == 0

@@ -11,6 +11,7 @@ import gc
 
 import pytest
 
+from conftest import chain_text, let_chain, spine_text
 from inhcalc.anf_direct import converges_direct
 from inhcalc.corpus import corpus_terms, judge
 from inhcalc.fixtures import FIXTURE_NAMES, fixture
@@ -35,8 +36,7 @@ def _nest():
 
 
 def _chain(k: int = 120):
-    text = "".join(f"(\\x{i}. x{i}) (" for i in range(k)) + "\\y. y" + ")" * k
-    return translate(anf_transform(parse_lambda(text)))
+    return translate(anf_transform(parse_lambda(chain_text(k))))
 
 
 def _omega():
@@ -77,6 +77,11 @@ def _cases():
     chain = _chain()
     yield "converges-chain", lambda: converges(chain, max_depth=121), None
     yield "converges_direct-chain", lambda: converges_direct(chain, max_depth=121), None
+    # 2,000 links: each stage walks a spine or a let run in a loop
+    spine = parse_lambda(spine_text(2_000))
+    yield "anf_translate-spine", lambda: translate(anf_transform(spine)), None
+    lets = let_chain(2_000)
+    yield "anf_translate-let-chain", lambda: translate(anf_transform(lets)), None
     omega = _omega()
     yield "converges-omega", lambda: converges(omega, fuel=50), None
     yield "converges_direct-omega", lambda: converges_direct(omega, fuel=50), None

@@ -1,12 +1,23 @@
 import gc
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import free_vars, is_anf, rebuilt, substitute, term_text, typed
+from conftest import (
+    chain_text,
+    free_vars,
+    is_anf,
+    let_chain,
+    rebuilt,
+    spine_text,
+    substitute,
+    term_text,
+    typed,
+)
 from inhcalc.corpus import Verdict, _terms, corpus_terms, enumerate_closed_terms, judge
 from inhcalc.fixtures import fixture
 from inhcalc.lam import (
@@ -168,16 +179,6 @@ def test_anf_of_nested_application():
     assert is_anf(anf)
 
 
-def _chain_text(k):
-    """(\\x0. x0) ((\\x1. x1) (... (\\y. y))): k identity redexes."""
-    return "".join(f"(\\x{i}. x{i}) (" for i in range(k)) + "\\y. y" + ")" * k
-
-
-def _spine_text(n):
-    """\\f. f f ... f: f applied to n arguments."""
-    return "\\f. " + " ".join(["f"] * (n + 1))
-
-
 # SHA-256 of the term_text of anf_transform(t), one line per term, over the
 # named forms of enumerate_closed_terms(10), NAMED_TERMS in name order, the
 # 30- and 120-redex identity chains and a 50-argument spine: pins the ANF
@@ -188,8 +189,8 @@ ANF_TEXT_SHA256 = "359d836e4437fabc0be9752393075379b4551bc1b5964b863a85f61c85e5f
 def test_anf_text_pinned():
     terms = [oracle_to_named(t) for t in enumerate_closed_terms(10)]
     terms += [NAMED_TERMS[name] for name in sorted(NAMED_TERMS)]
-    terms += [parse_lambda(_chain_text(k)) for k in (30, 120)]
-    terms.append(parse_lambda(_spine_text(50)))
+    terms += [parse_lambda(chain_text(k)) for k in (30, 120)]
+    terms.append(parse_lambda(spine_text(50)))
     text = "\n".join(term_text(anf_transform(t)) for t in terms)
     assert hashlib.sha256(text.encode()).hexdigest() == ANF_TEXT_SHA256
 
@@ -227,6 +228,43 @@ def test_lambda_front_end_takes_deep_binder_nests():
     t = _binder_nest(400)
     assert anf_transform(t) is t
     assert len(translate(t).nodes) == 801
+
+
+def test_anf_transform_and_translate_walk_a_long_function_spine():
+    # f applied to 9,999 arguments: each stage walks the spine in a loop,
+    # so it takes no stack frame per application
+    assert sys.getrecursionlimit() <= 1000
+    anf = anf_transform(parse_lambda(spine_text(9_999)))
+    t = anf.body
+    for k in range(9_998):
+        assert t[:2] == (f"_a{k}", App(Var(f"_a{k - 1}") if k else Var("f"), Var("f")))
+        t = t.body
+    assert t == App(Var("_a9997"), Var("f"))
+    assert len(translate(anf).nodes) == 30_000
+
+
+def test_anf_transform_and_translate_walk_a_long_argument_chain():
+    # (\x0. x0) ((\x1. x1) (... (\y. y))) with 10,000 redexes, built by a
+    # loop: the parser still recurses on it
+    assert sys.getrecursionlimit() <= 1000
+    t = Abs("y", Var("y"))
+    for i in reversed(range(10_000)):
+        t = App(Abs(f"x{i}", Var(f"x{i}")), t)
+    anf = anf_transform(t)
+    let, arg = anf, Abs("y", Var("y"))
+    for k in range(9_999):
+        assert let[:2] == (f"_a{k}", App(Abs(f"x{9_999 - k}", Var(f"x{9_999 - k}")), arg))
+        let, arg = let.body, Var(f"_a{k}")
+    assert let == App(Abs("x0", Var("x0")), Var("_a9998"))
+    assert len(translate(anf).nodes) == 40_003
+
+
+def test_translate_walks_a_long_let_chain():
+    # built by a loop: the parser recurses once per let
+    assert sys.getrecursionlimit() <= 1000
+    t = let_chain(10_000)
+    assert anf_transform(t) is t
+    assert len(translate(t).nodes) == 30_003
 
 
 def test_anf_fresh_names_skip_only_binders_in_scope():
