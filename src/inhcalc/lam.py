@@ -433,10 +433,11 @@ class _Translation:
             add(i, "argument")
             self.bound(param, level, _ARGUMENT, body, add(i, "result"))
         elif isinstance(m, Let):
-            # a run of lets takes one loop: each let's record, its right
-            # side, then its name bound over the rest of the run
+            # a run of lets takes one loop: each let's record and right
+            # side, then, but for the last, its name bound over the rest of
+            # the run; run is a cons list of the bindings to restore
             scope = self.scope
-            run = []
+            run = None
             while True:
                 name, rhs, body = m
                 if name in SYNTHETIC_LABELS:
@@ -447,15 +448,16 @@ class _Translation:
                     raise ValueError(_NOT_ANF)
                 node[i] = _new(Node, (frozenset((name, "result")), ()))
                 self.application(rhs, add(i, name), level + 1)
-                i = add(i, "result")
-                run.append((name, scope.get(name)))
-                scope[name] = (level, (name, "result"))
-                level += 1
                 if not isinstance(body, Let):
                     break
+                i = add(i, "result")
+                run = (name, scope.get(name), run)
+                scope[name] = (level, (name, "result"))
+                level += 1
                 m = body
-            self.comp(body, i, level)
-            for name, outer in reversed(run):
+            self.bound(name, level, (name, "result"), body, add(i, "result"))
+            while run is not None:
+                name, outer, run = run
                 if outer is None:
                     del scope[name]
                 else:
