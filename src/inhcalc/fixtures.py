@@ -20,10 +20,6 @@ where ``op`` is one of
 and ``origin`` records how the expected value was obtained: ``pinned``
 (transcribed from the sources the fixture reproduces), ``derived``
 (hand-traced through the equations), or ``sanity`` (trivial).
-
-The members of the combined ``nat`` fixture model independent source
-files; ``fragment_program`` rebuilds any subset of them as a standalone
-program so the per-file and combined forms can be compared.
 """
 
 from __future__ import annotations
@@ -32,14 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .semantics import DEFAULT_FUEL, DivergenceError, EvalContext
-from .syntax import (
-    CoreProgram,
-    parse,
-    parse_path,
-    parse_program,
-    path_text,
-    resolve_references,
-)
+from .syntax import CoreProgram, parse_path, parse_program, path_text
 
 FIXTURE_NAMES = (
     "p1",
@@ -175,35 +164,3 @@ def run_expectations(name: str, fuel: int = DEFAULT_FUEL) -> list[ExpectationRes
             actual = f"Divergence({exc.kind})"
         out.append(ExpectationResult(exp, actual == exp.expected, actual))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Per-member fragments of the combined nat fixture
-# ---------------------------------------------------------------------------
-
-FRAGMENT_DEPS = {
-    "NatData": (),
-    "NatPlus": ("NatData",),
-    "NatVisitor": ("NatData",),
-    "BooleanData": (),
-    "NatEquality": ("NatVisitor", "BooleanData"),
-    "NatConstants": ("NatData",),
-    "Test": ("NatConstants", "NatPlus", "NatEquality"),
-    "CartesianTest": ("NatConstants", "NatPlus", "NatEquality"),
-}
-
-
-def _fragment_closure(names, out: dict) -> dict:
-    for n in names:
-        if n not in out:
-            _fragment_closure(FRAGMENT_DEPS[n], out)[n] = None
-    return out
-
-
-def fragment_program(*names: str) -> CoreProgram:
-    """A standalone program holding the named nat members plus their
-    dependency closure, cross-referencing by name as in the combined
-    fixture: the nat surface with its root restricted to those members."""
-    surface = parse(fixture("nat").source)
-    surface._node[0] = (_fragment_closure(names, {}), {})
-    return resolve_references(surface)

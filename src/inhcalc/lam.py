@@ -26,10 +26,12 @@ plain tuple of its fields: ``Var("x") == ("x",)`` is True.  The hot paths
 body of the generated constructor without its Python frame, at about half
 its cost.
 
-``anf_transform`` and ``translate`` walk a chain of applications and a run
-of lets in a loop, so a long spine or let chain costs them no stack frame
-per link; each binder still costs two.  The parser recurses per nested
-term and loops only over juxtaposition.
+``anf_transform`` walks nested applications, in argument or function
+position alike, on a work list, and it, ``translate`` and
+``named_to_oracle`` walk a run of lets in a loop, so a long spine,
+zig-zag or let chain costs them no stack frame per link; a binder still
+costs ``anf_transform`` and ``translate`` two.  The parser recurses per
+nested term and loops only over juxtaposition.
 """
 
 from __future__ import annotations
@@ -212,10 +214,10 @@ class _Anf:
     ties them in a cycle and reference counting frees the normalizer when
     it returns.  Each helper returns its input itself when conversion
     changes none of its parts, so only a spine that gains lets is rebuilt.
-    Binding is inline, so a binder costs two stack frames.  A chain of two
-    or more applications in argument or in function position, and a run
-    of ANF lets, take one loop step per link and draw fresh names in the
-    order the recursion would."""
+    Binding is inline, so a binder costs two stack frames.  Applications
+    nested in argument or function position cost none, as ``application``
+    walks them on a work list, and a run of ANF lets takes one loop step
+    per let."""
 
     def __init__(self):
         self.scope: dict[str, int] = {}
@@ -245,84 +247,35 @@ class _Anf:
         raise TypeError(f"not a value: {v!r}")
 
     def application(self, u: App, lets: list) -> App:
-        """u with both parts atomized, arguments first; the lets they
-        need go to lets.  A chain of two or more applications in argument
-        or in function position is walked in a loop."""
-        fun, arg = u
-        if isinstance(arg, Var):
-            new_arg = arg
-        elif isinstance(arg, App) and isinstance(arg[1], App):
-            return self.argument_chain(u, lets)
-        else:
-            new_arg = self.atomize(arg, lets)
-        if isinstance(fun, Var):
-            new_fun = fun
-        elif isinstance(fun, App) and isinstance(fun[0], App):
-            return self.function_chain(u, new_arg, lets)
-        else:
-            new_fun = self.atomize(fun, lets)
-        return u if new_fun is fun and new_arg is arg else _new(App, (new_fun, new_arg))
-
-    def argument_chain(self, u: App, lets: list) -> App:
-        """``application`` of ``f0 (f1 (… (fm v)))``: the links, a let in
-        argument position read as its redex, are atomized innermost first,
-        each one's function after the let of its argument."""
-        links = [u]
-        arg = u[1]
+        """u with both parts atomized; the lets they need go to lets.  The
+        walk is a post-order on a work list: each application's argument,
+        then its function, then the application itself, named unless it is
+        u.  A let in either position is read as its redex ``(\\x. N) M``."""
+        # None marks the application below it: its atoms are on atoms
+        work: list = [u, None, u[0], u[1]]
+        atoms: list = []
         while True:
-            if isinstance(arg, Let):
-                name, rhs, body = arg
-                arg = _new(App, (_new(Abs, (name, body)), rhs))
-            elif not isinstance(arg, App):
-                break
-            links.append(arg)
-            arg = arg[1]
-        new_arg = self.atomize(arg, lets)
-        for link in reversed(links):
-            fun, arg = link
-            new_fun = self.atomize(fun, lets)
-            app = link if new_fun is fun and new_arg is arg else _new(App, (new_fun, new_arg))
-            if link is u:
-                return app
-            name = self.fresh()
-            lets.append((name, app))
-            new_arg = _new(Var, (name,))
-
-    def function_chain(self, u: App, new_arg: Term, lets: list) -> App:
-        """``application`` of ``h a1 a2 … an``: the arguments are atomized
-        outermost first, then the head, and the links, a let in function
-        position read as its redex, are named innermost first."""
-        fun = u[0]
-        links = [(u, new_arg)]
-        while True:
-            if isinstance(fun, Let):
-                name, rhs, body = fun
-                fun = _new(App, (_new(Abs, (name, body)), rhs))
-            elif not isinstance(fun, App):
-                break
-            link = fun
-            fun, arg = link
-            links.append((link, self.atomize(arg, lets)))
-        new_fun = self.atomize(fun, lets)
-        for link, new_arg in reversed(links):
-            fun, arg = link
-            app = link if new_fun is fun and new_arg is arg else _new(App, (new_fun, new_arg))
-            if link is u:
-                return app
-            name = self.fresh()
-            lets.append((name, app))
-            new_fun = _new(Var, (name,))
-
-    def atomize(self, u: Term, lets: list) -> Term:
-        if is_value(u):
-            return self.to_value(u)
-        if isinstance(u, Let):
-            name, rhs, body = u
-            return self.atomize(_new(App, (_new(Abs, (name, body)), rhs)), lets)
-        app = self.application(u, lets)
-        name = self.fresh()
-        lets.append((name, app))
-        return _new(Var, (name,))
+            t = work.pop()
+            if t is None:
+                link = work.pop()
+                new_fun = atoms.pop()
+                new_arg = atoms.pop()
+                fun, arg = link
+                app = link if new_fun is fun and new_arg is arg else _new(App, (new_fun, new_arg))
+                if not work:
+                    return app
+                name = self.fresh()
+                lets.append((name, app))
+                atoms.append(_new(Var, (name,)))
+            elif isinstance(t, Var):
+                atoms.append(t)
+            elif isinstance(t, App):
+                work += (t, None, t[0], t[1])
+            elif isinstance(t, Let):
+                name, rhs, body = t
+                work.append(_new(App, (_new(Abs, (name, body)), rhs)))
+            else:
+                atoms.append(self.to_value(t))
 
     def to_comp(self, u: Term) -> Term:
         if is_value(u):
@@ -591,10 +544,17 @@ def named_to_oracle(t: Term, env: tuple[str, ...] = ()) -> OTerm:
         fun, arg = t
         return ("app", named_to_oracle(fun, env), named_to_oracle(arg, env))
     if isinstance(t, Let):
-        name, rhs, body = t
-        return (
-            "app", ("abs", named_to_oracle(body, (name,) + env)), named_to_oracle(rhs, env)
-        )
+        # a run of lets takes one loop; the innermost body is converted
+        # first, then each right side, innermost first, as the recursion would
+        run = []
+        while isinstance(t, Let):
+            name, rhs, t = t
+            run.append((rhs, env))
+            env = (name,) + env
+        out = named_to_oracle(t, env)
+        for rhs, env in reversed(run):
+            out = ("app", ("abs", out), named_to_oracle(rhs, env))
+        return out
     raise TypeError(t)
 
 

@@ -467,23 +467,26 @@ def render(prog: CoreProgram) -> str:
 
     References render in indexed form only and are sorted; definitions
     are sorted lexicographically.  A definition whose body is a single
-    reference with no sub-definitions uses the ``x = r`` sugar.
+    reference with no sub-definitions uses the ``x = r`` sugar.  The
+    resolved program's ids are in sorted path order, so they are taken in
+    id order, and a stack holds the ids of the records still open.
     """
     prog = resolve_references(prog)
-
-    def render_body(p: Path) -> str:
-        node = prog.nodes.get(p, EMPTY_NODE)
-        parts = [ref_text(r) for r in sorted(node.inherits)]
-        for label in sorted(node.defines):
-            child = p + (label,)
-            cnode = prog.nodes.get(child, EMPTY_NODE)
-            if not cnode.defines and len(cnode.inherits) == 1:
-                (only,) = cnode.inherits
-                parts.append(f"{label} = {ref_text(only)}")
-            else:
-                parts.append(f"{label} = {render_body(child)}")
-        if not parts:
-            return "{}"
-        return "{" + ", ".join(parts) + "}"
-
-    return render_body(ROOT)
+    parent, label, node = prog._parent, prog._label, prog._node
+    out = ["{", ", ".join(map(ref_text, node[0][1]))]
+    open_ids = [0]
+    for i in range(1, len(node)):
+        p = parent[i]
+        while open_ids[-1] != p:
+            open_ids.pop()
+            out.append("}")
+        if node[p][1] or i != p + 1:  # p has references or an earlier child
+            out.append(", ")
+        defines, inherits = node[i]
+        if not defines and len(inherits) == 1:
+            out.append(f"{label[i]} = {ref_text(inherits[0])}")
+        else:
+            out.append(f"{label[i]} = {{" + ", ".join(map(ref_text, inherits)))
+            open_ids.append(i)
+    out.append("}" * len(open_ids))
+    return "".join(out)

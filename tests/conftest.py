@@ -6,9 +6,17 @@ import random
 from collections import defaultdict
 
 from inhcalc.anf_direct import DirectContext
+from inhcalc.fixtures import fixture
 from inhcalc.lam import Abs, App, Let, Term, Var, is_value
 from inhcalc.semantics import DivergenceError, EvalContext
-from inhcalc.syntax import CoreProgram, NamedRef, Reference, ref_text
+from inhcalc.syntax import (
+    CoreProgram,
+    NamedRef,
+    Reference,
+    parse,
+    ref_text,
+    resolve_references,
+)
 
 
 def ref_str(ref) -> str:
@@ -128,6 +136,16 @@ def let_chain(n: int) -> Term:
     return Abs("f", t)
 
 
+def zigzag(n: int) -> Term:
+    """\\f. \\y. t_n, where t_0 = y and t_k is f (t_{k-1} f) for odd k and
+    (f t_{k-1}) f for even k: applications nested n levels deep, in
+    argument and function position by turns, built by a loop."""
+    t = Var("y")
+    for k in range(1, n + 1):
+        t = App(Var("f"), App(t, Var("f"))) if k % 2 else App(App(Var("f"), t), Var("f"))
+    return Abs("f", Abs("y", t))
+
+
 def typed(v):
     """v with every tuple in it paired with its type, so that ``==`` on
     the results also compares the type of every node."""
@@ -211,3 +229,39 @@ def substitute(t: Term, x: str, v: Term) -> Term:
             return Let(t.name, rhs, t.body)
         return Let(t.name, rhs, substitute(t.body, x, v))
     raise TypeError(t)
+
+
+# ---------------------------------------------------------------------------
+# Per-member fragments of the combined nat fixture
+# ---------------------------------------------------------------------------
+#
+# The members of the combined ``nat`` fixture model independent source
+# files; ``fragment_program`` rebuilds any subset of them as a standalone
+# program so the per-file and combined forms can be compared.
+
+FRAGMENT_DEPS = {
+    "NatData": (),
+    "NatPlus": ("NatData",),
+    "NatVisitor": ("NatData",),
+    "BooleanData": (),
+    "NatEquality": ("NatVisitor", "BooleanData"),
+    "NatConstants": ("NatData",),
+    "Test": ("NatConstants", "NatPlus", "NatEquality"),
+    "CartesianTest": ("NatConstants", "NatPlus", "NatEquality"),
+}
+
+
+def _fragment_closure(names, out: dict) -> dict:
+    for n in names:
+        if n not in out:
+            _fragment_closure(FRAGMENT_DEPS[n], out)[n] = None
+    return out
+
+
+def fragment_program(*names: str) -> CoreProgram:
+    """A standalone program holding the named nat members plus their
+    dependency closure, cross-referencing by name as in the combined
+    fixture: the nat surface with its root restricted to those members."""
+    surface = parse(fixture("nat").source)
+    surface._node[0] = (_fragment_closure(names, {}), {})
+    return resolve_references(surface)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -145,13 +146,31 @@ def test_lambda_converges_long_chain_is_resource_limit(runner):
     _assert_resource_limit(result)
 
 
+# f applied to 2,000 arguments is a long spine, not a deep nest: every
+# stage walks it, or the let run ANF makes of it, in a loop
+_SPINE = "(\\f. " + " ".join(["f"] * 2_001) + ") (\\x. x)"
+
+
 def test_lambda_converges_long_spine_is_not_nested(runner):
-    # f applied to 2,000 arguments is a long spine, not a deep nest: every
-    # stage up to the scan walks it in a loop
-    spine = "(\\f. " + " ".join(["f"] * 2_001) + ") (\\x. x)"
-    result = runner.invoke(main, ["lambda", "converges", spine, "--max-depth", "4"])
+    result = runner.invoke(main, ["lambda", "converges", _SPINE, "--max-depth", "4"])
     assert result.exit_code == 0
     assert result.output == "not converged: DepthExceeded\n"
+
+
+def test_lambda_translate_long_spine_is_not_nested(runner):
+    result = runner.invoke(main, ["lambda", "translate", _SPINE])
+    assert result.exit_code == 0
+    # the output of the recursive renderer under a raised recursion limit
+    assert len(result.output) == 130_795
+    assert hashlib.sha256(result.output.encode()).hexdigest() == (
+        "cf5759f9cfc374ed91078ea08023d2c8c31042f899061c3d9046151113096503"
+    )
+
+
+def test_lambda_bohm_long_spine_is_not_nested(runner):
+    result = runner.invoke(main, ["lambda", "bohm", _SPINE])
+    assert result.exit_code == 0
+    assert result.output == "λ^1. 0\n"
 
 
 def test_lambda_bohm(runner):

@@ -11,7 +11,7 @@ import gc
 
 import pytest
 
-from conftest import chain_text, let_chain, spine_text
+from conftest import chain_text, let_chain, spine_text, zigzag
 from inhcalc.anf_direct import converges_direct
 from inhcalc.corpus import corpus_terms, judge
 from inhcalc.fixtures import FIXTURE_NAMES, fixture
@@ -82,6 +82,10 @@ def _cases():
     yield "anf_translate-spine", lambda: translate(anf_transform(spine)), None
     lets = let_chain(2_000)
     yield "anf_translate-let-chain", lambda: translate(anf_transform(lets)), None
+    # 3,000 levels of applications nested in argument and function position
+    # by turns: ANF conversion walks them on a work list
+    zig = zigzag(3_000)
+    yield "anf_translate-zigzag", lambda: translate(anf_transform(zig)), None
     omega = _omega()
     yield "converges-omega", lambda: converges(omega, fuel=50), None
     yield "converges_direct-omega", lambda: converges_direct(omega, fuel=50), None

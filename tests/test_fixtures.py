@@ -2,13 +2,12 @@ import hashlib
 
 import pytest
 
+from conftest import FRAGMENT_DEPS, fragment_program
 from inhcalc.fixtures import (
     FIXTURE_NAMES,
-    FRAGMENT_DEPS,
     UnknownFixture,
     _parse_expectations,
     fixture,
-    fragment_program,
     run_expectations,
 )
 from inhcalc.lam import bohm_prefix, converges, named_to_oracle, parse_lambda

@@ -17,6 +17,7 @@ from conftest import (
     substitute,
     term_text,
     typed,
+    zigzag,
 )
 from inhcalc.corpus import Verdict, _terms, corpus_terms, enumerate_closed_terms, judge
 from inhcalc.fixtures import fixture
@@ -222,7 +223,8 @@ def _binder_nest(n):
 
 def test_lambda_front_end_takes_deep_binder_nests():
     # parse_lambda recurses once per binder, anf_transform and translate
-    # twice; a helper call per binder would overflow these nests
+    # twice, while nested applications cost them no frame; a helper call
+    # per binder would overflow these nests
     text = "".join(f"\\x{i}. " for i in range(800)) + "x0"
     assert parse_lambda(text) == _binder_nest(800)
     t = _binder_nest(400)
@@ -257,6 +259,20 @@ def test_anf_transform_and_translate_walk_a_long_argument_chain():
         let, arg = let.body, Var(f"_a{k}")
     assert let == App(Abs("x0", Var("x0")), Var("_a9998"))
     assert len(translate(anf).nodes) == 40_003
+
+
+def test_anf_transform_and_translate_walk_a_deep_zigzag():
+    # applications nested 3,000 levels deep, in argument and function
+    # position by turns: ANF conversion walks them on a work list
+    assert sys.getrecursionlimit() <= 1000
+    anf = anf_transform(zigzag(3_000))
+    t = anf.body.body
+    for k in range(5_999):
+        name, rhs, t = t
+        assert name == f"_a{k}"
+        assert isinstance(rhs, App) and all(isinstance(v, Var) for v in rhs)
+    assert t == App(Var("_a5998"), Var("f"))
+    assert len(translate(anf).nodes) == 18_005
 
 
 def test_translate_walks_a_long_let_chain():

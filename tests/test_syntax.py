@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutated_text
+from conftest import FRAGMENT_DEPS, fragment_program, mutated_text
 from test_semantics import _program_texts
 from inhcalc.corpus import corpus_terms
-from inhcalc.fixtures import FIXTURE_NAMES, FRAGMENT_DEPS, fixture, fragment_program
+from inhcalc.fixtures import FIXTURE_NAMES, fixture
 from inhcalc.lam import translate
 from inhcalc.syntax import (
     CoreProgram,
