@@ -176,55 +176,51 @@ def _token_offset(source: str, index: int) -> int:
 
 
 class _Parser(_Reader):
-    def __init__(self, source: str):
-        super().__init__(source, _TOKEN_RE, _KIND)
-        program = self.program = CoreProgram()
-        self.node, self.kids, self.add = program._node, program._kids, program._add
-        self.node[0] = ({}, {})
-
     def error(self, message: str, pos: int | None = None):
         if pos is None:
             pos = _token_offset(self.source, self.i)
         raise ParseError(message, *_line_column(self.source, pos))
 
     def parse_program(self) -> CoreProgram:
-        self.parse_record(0)
-        if self.kinds[self.i] != "eof":
-            self.error("trailing input after top-level record")
-        return self.program
-
-    def parse_record(self, p: int) -> None:
-        """Add the record literal at the cursor to the node of id ``p``."""
+        """Add each record literal to the node of its path.  A stack holds
+        the ids of the records still open; each turn reads an element, or
+        the close after ``{`` or a trailing comma, and then the comma or
+        closes that follow it."""
+        kinds, texts = self.kinds, self.texts
+        program = CoreProgram()
+        node, kids, add = program._node, program._kids, program._add
+        node[0] = ({}, {})
         self.expect("lb")
-        kinds = self.kinds
-        if kinds[self.i] == "rb":
-            self.i += 1
-            return
-        while True:
-            self.parse_element(p)
-            if kinds[self.i] == "comma":
-                self.i += 1
-                if kinds[self.i] == "rb":  # trailing comma
-                    self.i += 1
-                    return
-                continue
-            self.expect("rb")
-            return
-
-    def parse_element(self, p: int) -> None:
-        kinds, i, node = self.kinds, self.i, self.node
-        if kinds[i] == "ident" and kinds[i + 1] == "eq":
-            self.i = i + 2
-            label = self.texts[i]
-            node[p][0][label] = None
-            child = self.kids[p].get(label) or self.add(p, label, ({}, {}))
-            if kinds[i + 2] == "lb":
-                self.parse_record(child)
-            else:
+        open_ids = [0]
+        while open_ids:
+            i = self.i
+            p = open_ids[-1]
+            if kinds[i] == "rb":
+                self.i = i + 1
+                open_ids.pop()
+            elif kinds[i] == "ident" and kinds[i + 1] == "eq":
+                label = texts[i]
+                node[p][0][label] = None
+                child = kids[p].get(label) or add(p, label, ({}, {}))
+                if kinds[i + 2] == "lb":
+                    self.i = i + 3
+                    open_ids.append(child)
+                    continue
                 # "x = r" sugars to "x = { r }"
+                self.i = i + 2
                 node[child][1][self.parse_reference()] = None
-        else:
-            node[p][1][self.parse_reference()] = None
+            else:
+                node[p][1][self.parse_reference()] = None
+            # A closed record is an element of the record it is in.
+            while open_ids:
+                if kinds[self.i] == "comma":
+                    self.i += 1
+                    break
+                self.expect("rb")
+                open_ids.pop()
+        if kinds[self.i] != "eof":
+            self.error("trailing input after top-level record")
+        return program
 
     def parse_reference(self) -> SurfaceRef:
         i = self.i
@@ -253,7 +249,7 @@ class _Parser(_Reader):
 def parse(source: str) -> CoreProgram:
     """Parse surface text into its surface program: a trie with ids in order
     of first appearance and ``(labels, references)`` nodes."""
-    return _Parser(source).parse_program()
+    return _Parser(source, _TOKEN_RE, _KIND).parse_program()
 
 
 # ---------------------------------------------------------------------------

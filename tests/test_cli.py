@@ -167,6 +167,15 @@ def test_lambda_translate_long_spine_is_not_nested(runner):
     )
 
 
+def test_check_reads_back_the_translation_of_a_long_spine(runner, tmp_path):
+    # each let of the spine's ANF nests two records deeper in the output
+    path = tmp_path / "spine.inh"
+    path.write_text(runner.invoke(main, ["lambda", "translate", _SPINE]).output)
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 0
+    assert result.output == "ok: 6007 paths\n"
+
+
 def test_lambda_bohm_long_spine_is_not_nested(runner):
     result = runner.invoke(main, ["lambda", "bohm", _SPINE])
     assert result.exit_code == 0

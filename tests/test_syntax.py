@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,9 @@ def test_trailing_comma_and_comments():
     """
     prog = parse_program(src)
     assert prog.defines(()) == {"a", "b"}
+    # after a closed record, and inside a nested one
+    assert parse("{a = {},}") == parse("{a = {}}")
+    assert parse("{a = {b,}}") == parse("{a = {b}}")
 
 
 def test_duplicate_definitions_merge():
@@ -92,6 +96,13 @@ def test_unexpected_character():
         ("{a = {}", 1, 8, "expected rb, found eof"),
         ("{a = ^x}", 1, 7, "expected nat, found ident"),
         ("{a = ^}", 1, 7, "expected nat, found rb"),
+        ("{a b}", 1, 4, "expected rb, found ident"),
+        ("{,}", 1, 2, "expected an element (definition or reference)"),
+        ("{a,,}", 1, 4, "expected an element (definition or reference)"),
+        ("{a = {} b}", 1, 9, "expected rb, found ident"),
+        ("{a = {b = {}},, c}", 1, 15, "expected an element (definition or reference)"),
+        ("{} x", 1, 4, "trailing input after top-level record"),
+        ("{a = {b = {}}", 1, 14, "expected rb, found eof"),
     ],
 )
 def test_parse_error_line_and_column(src, line, column, message):
@@ -222,6 +233,20 @@ def test_render_round_trip_simple():
     src = "{A = {x = {}}, B = {A, x = {y = {}}}}"
     prog = parse_program(src)
     assert parse_program(render(prog)) == prog
+
+
+def test_parse_resolve_and_render_a_deep_nest():
+    # parse, resolve_references and render each walk the nesting in a
+    # loop, so a 10,000-level nest takes no stack frame per level
+    assert sys.getrecursionlimit() <= 1000
+    depth = 10_000
+    nest = "{a = " * depth + "{}" + "}" * depth
+    prog = parse_program("{A = " + nest + ", B = {A}}")
+    assert len(prog.nodes) == depth + 3
+    text = render(prog)
+    assert text == "{A = " + nest + ", B = ^0.A}"
+    # the texts, not the programs: == reads each id's path up the trie
+    assert render(parse_program(text)) == text
 
 
 # ---------------------------------------------------------------------------
