@@ -77,15 +77,16 @@ class DirectContext(InternedContext):
     def _grafts(self, p: int) -> frozenset[int]:
         if p == 0:
             return frozenset({0})
-        node, kids = self._node, self._kids
+        node, kids, done = self._node, self._kids, self.memo["grafts"]
+        parent = self._parent[p]
         out = {p}
         last = self._label[p]
         # A graft position of p is any graft of any transitive callee
         # of the parent that locally defines last(p), mirroring how an
         # override of a path arises from any override of any base of
         # the parent.
-        for p_step in self._callee_star(self._parent[p]):
-            for p_graft in self._grafts(p_step):
+        for p_step in self.memo["callee*"].get(parent) or self._callee_star(parent):
+            for p_graft in done.get(p_step) or self._grafts(p_step):
                 if last in node[p_graft][0]:
                     out.add(kids[p_graft].get(last) or self._add_child(p_graft, last))
         return frozenset(out)
@@ -115,9 +116,8 @@ class DirectContext(InternedContext):
             return p_site
         if p_def == 0:
             raise ScopeUnderflowError(f"scope step above the root (n={n} remaining)")
-        callers = {
-            context for context, grafts in self._callee_ctx(p_site) if p_def in grafts
-        }
+        contexts = self.memo["callee_ctx"].get(p_site) or self._callee_ctx(p_site)
+        callers = {context for context, grafts in contexts if p_def in grafts}
         if len(callers) != 1:
             path = self._paths
             raise AmbiguousCaller(
@@ -132,8 +132,11 @@ class DirectContext(InternedContext):
         """The callee contexts of ``p``, factored by callee: one
         ``(parent(s), grafts(s))`` entry per ``s`` in ``callee*(p)``, in its
         iteration order, each grafts set the one its memo holds."""
-        parent = self._parent
-        return tuple([(parent[s], self._grafts(s)) for s in self._callee_star(p)])
+        parent, done = self._parent, self.memo["grafts"]
+        out = []
+        for s in self._callee_star(p):
+            out.append((parent[s], done.get(s) or self._grafts(s)))
+        return tuple(out)
 
 
 def converges_direct(

@@ -109,7 +109,7 @@ def is_value(t: Term) -> bool:
 # Parser: \x. M, left-associative juxtaposition, let x = M in N, parens
 # ---------------------------------------------------------------------------
 
-_LAM_TOKEN_RE = re.compile(rf"\s+|([\\λ().=]|{_IDENT}|[\s\S]+)")
+_LAM_TOKEN_RE = re.compile(rf"([\\λ().=]|{_IDENT}|\S[\s\S]*)")
 _LAM_KIND = {
     **_BASE_KINDS, "let": "let", "in": "in",
     "\\": "lam", "λ": "lam", "(": "lp", ")": "rp", ".": "dot", "=": "eq",

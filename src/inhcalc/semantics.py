@@ -93,6 +93,16 @@ def equation(tag: str):
     raises leaves no entry, so a re-query reaches the same verdict.  A
     divergence's witness is what the instance's ``_witness(tag, key)``
     makes of the query; the kernel calls it only to raise.
+
+    A call site whose query is usually answered already reads the table
+    first, ``self.memo[tag].get(key) or self._eq(key)``, so a completed,
+    non-empty answer costs one dict read.  That read cannot add, drop or
+    reorder a miss: it returns only what the kernel would return for the
+    key without spending fuel or writing a table, and a missing key, an
+    in-flight ``None`` or an empty result still enters the kernel, which
+    alone spends fuel, marks keys in flight and builds witnesses.  The
+    decorated method carries its ``tag``, so such a reader can name the
+    table of a method it is given.
     """
 
     def decorate(body):
@@ -115,7 +125,9 @@ def equation(tag: str):
             memo[key] = value
             return value
 
-        return functools.wraps(body)(run)
+        run = functools.wraps(body)(run)
+        run.tag = tag
+        return run
 
     return decorate
 
@@ -127,10 +139,12 @@ def closure(step: str):
 
     def body(self, p: int) -> frozenset[int]:
         step_of = getattr(self, step)
+        done = self.memo[step_of.tag]
         seen = {p}
         work = [p]
         while work:
-            for q in step_of(work.pop()):
+            r = work.pop()
+            for q in done.get(r) or step_of(r):
                 if q not in seen:
                     seen.add(q)
                     work.append(q)
@@ -248,8 +262,11 @@ class EvalContext(InternedContext):
         """The super pairs of ``p``, factored by base: one
         ``(init(b), overrides(b))`` entry per ``b`` in ``bases*(p)``, in its
         iteration order, each overrides set the one its memo holds."""
-        parent = self._parent
-        return tuple([(parent[b], self._overrides(b)) for b in self._bases_star(p)])
+        parent, done = self._parent, self.memo["overrides"]
+        out = []
+        for b in self._bases_star(p):
+            out.append((parent[b], done.get(b) or self._overrides(b)))
+        return tuple(out)
 
     _bases_star = equation("bases*")(closure("_bases"))
 
@@ -258,8 +275,9 @@ class EvalContext(InternedContext):
         if p == 0:
             return frozenset({0})
         label, node, kids = self._label[p], self._node, self._kids
+        parent = self._parent[p]
         out = {p}
-        for _, overrides in self._supers(self._parent[p]):
+        for _, overrides in self.memo["supers"].get(parent) or self._supers(parent):
             for q in overrides:
                 if label in node[q][0]:
                     out.add(kids[q].get(label) or self._add_child(q, label))
@@ -285,8 +303,9 @@ class EvalContext(InternedContext):
                 "resolve requires a nonempty definition-site path"
             )
         kids = self._kids
+        step = (frozenset({p_site}), self._parent[p_def], n)
         out = set()
-        for current in self._this((frozenset({p_site}), self._parent[p_def], n)):
+        for current in self.memo["this"].get(step) or self._this(step):
             for label in downs:
                 current = kids[current].get(label) or self._add_child(current, label)
             out.add(current)
@@ -299,9 +318,10 @@ class EvalContext(InternedContext):
             return S
         if p_def == 0:
             raise ScopeUnderflowError(f"this step above the root (n={n} remaining)")
+        done = self.memo["supers"]
         frontier = set()
         for current in S:
-            for p_site, overrides in self._supers(current):
+            for p_site, overrides in done.get(current) or self._supers(current):
                 if p_def in overrides:
                     assert p_site is not ABOVE_ROOT, "AboveRoot matched a this step"
                     frontier.add(p_site)
@@ -381,7 +401,7 @@ class EvalContext(InternedContext):
         return ObservationTree(p, labels, children, None)
 
 
-@dataclass
+@dataclass(slots=True)
 class ObservationTree:
     """Finite-depth tree of properties; the canonical observable output."""
 

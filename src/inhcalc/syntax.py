@@ -115,14 +115,15 @@ _BASE_KINDS = {"": "eof", **dict.fromkeys(string.ascii_letters + "_", "ident")}
 class _Reader:
     """The tokenizer and cursor of both grammars.
 
-    ``pattern`` makes one match per token, whitespace run or comment, and
-    only tokens fill its group; its last alternative takes everything from
-    an unexpected character to the end of the input, so only the last
-    token can be one.  ``kinds`` names a token's kind by its text, or else
-    by its first character.  ``texts`` and ``kinds`` end with the end of
-    input, text ``""`` and kind ``eof``, and ``i`` is the cursor.  A
-    subclass raises its own errors in ``error(message, pos=None)``, where
-    ``pos`` is an offset into the source if known.
+    ``pattern`` makes one match per token or comment, and only tokens fill
+    its group; no alternative matches whitespace, so the search skips it.
+    Its last alternative takes everything from an unexpected character to
+    the end of the input, so only the last token can be one.  ``kinds``
+    names a token's kind by its text, or else by its first character.
+    ``texts`` and ``kinds`` end with the end of input, text ``""`` and kind
+    ``eof``, and ``i`` is the cursor.  A subclass raises its own errors in
+    ``error(message, pos=None)``, where ``pos`` is an offset into the
+    source if known.
     """
 
     def __init__(self, source: str, pattern: re.Pattern, kinds: dict[str, str]):
@@ -147,7 +148,7 @@ class _Reader:
 
 
 # Whitespace is any ``\s``; a comment runs from ``#`` to the end of the line.
-_TOKEN_RE = re.compile(rf"\s+|#[^\n]*|(this@|{_IDENT}|[0-9]+|[{{}}=,.^]|[\s\S]+)")
+_TOKEN_RE = re.compile(rf"#[^\n]*|(this@|{_IDENT}|[0-9]+|[{{}}=,.^]|[^\s#][\s\S]*)")
 _KIND = {
     **_BASE_KINDS,
     "this@": "thisat",

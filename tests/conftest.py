@@ -31,6 +31,12 @@ def is_path(p) -> bool:
     return isinstance(p, tuple) and all(isinstance(label, str) for label in p)
 
 
+def sorted_witness(witness: tuple) -> tuple:
+    """A divergence witness with each frozenset argument sorted, so its
+    repr does not follow the hash seed."""
+    return tuple(tuple(sorted(a)) if isinstance(a, frozenset) else a for a in witness)
+
+
 def mutated_text(surface, rng: random.Random, dup: float = 0.25, i: int = 0) -> str:
     """Surface text of the record of id ``i`` of the surface program
     ``surface`` (as ``parse`` writes it) with elements shuffled and

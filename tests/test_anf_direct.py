@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_path, labels_struct, properties_struct
+from conftest import is_path, labels_struct, properties_struct, sorted_witness
 from test_semantics import _program_texts
 from inhcalc.anf_direct import (
     AmbiguousCaller,
@@ -176,6 +176,46 @@ def test_direct_fuel_pinned_on_corpus():
 def identity_chain(k: int) -> str:
     """``(\\x0. x0) ((\\x1. x1) (... (\\y. y)))``: ``k`` identity redexes."""
     return "".join(f"(\\x{i}. x{i}) (" for i in range(k)) + "\\y. y" + ")" * k
+
+
+# sha256 of one row per result-chain scan, n < 40: the general engine's
+# properties, then the direct engine's labels, over the 30-redex identity
+# chain and then NAMED_TERMS in their order, at fuel budgets 0, 3, ...,
+# 399.  A row is "method, term, budget, outcome, fuel left", where the
+# outcome is the depth the scan converged at, DepthExceeded, or the kind
+# and witness of the divergence that stopped it, each frozenset argument
+# sorted.  As with the observe digest in test_semantics.py, that query is
+# where each engine's misses stand at the budget, so an added or dropped
+# miss moves the digest; on these terms few reorderings show in it.
+SCAN_MISS_ORDER_SHA256 = (
+    "1b9c9ebbbe3e523a957758fa725fd6459455401f15a51a33d4f725520b40056d"
+)
+
+
+def test_scan_miss_order_is_pinned():
+    terms = {"chain30": parse_lambda(identity_chain(30)), **NAMED_TERMS}
+    rows = []
+    for engine, method in ((EvalContext, "properties"), (DirectContext, "labels")):
+        for name, term in terms.items():
+            prog = translate(anf_transform(term))
+            for budget in range(0, 400, 3):
+                ctx = engine(prog, fuel=budget)
+                ask = getattr(ctx, method)
+                for n in range(40):
+                    try:
+                        found = ask(("result",) * n)
+                    except DivergenceError as exc:
+                        outcome = f"{exc.kind}\t{sorted_witness(exc.witness)!r}"
+                        break
+                    if "argument" in found and "result" in found:
+                        outcome = f"converged\t{n}"
+                        break
+                else:
+                    outcome = "DepthExceeded"
+                rows.append(f"{method}\t{name}\t{budget}\t{outcome}\t{ctx.fuel}")
+    assert len(rows) == 3216
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == SCAN_MISS_ORDER_SHA256
 
 
 @pytest.mark.parametrize("k", [120, 240])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NaiveEvaluator, is_path, mutated_text, properties_struct
+from conftest import (
+    NaiveEvaluator,
+    is_path,
+    mutated_text,
+    properties_struct,
+    sorted_witness,
+)
 from inhcalc.fixtures import FIXTURE_NAMES, fixture
 from inhcalc.semantics import (
     ABOVE_ROOT,
@@ -182,8 +189,8 @@ _WITNESS_METHODS = {
 @pytest.mark.parametrize("engine", [EvalContext, NaiveEvaluator])
 def test_fuel_exhausted_witnesses_are_replayable_paths(engine):
     # Cutting observe((), 4) short at every seventh fuel unit stops it
-    # inside each of the equations.  The witness sequence itself depends
-    # on set iteration order, so only its form is checked.
+    # inside each of the equations.  Only the witnesses' form is checked
+    # here; their sequence is pinned by the miss-order digest below.
     tags = set()
     for name in ("p2", "nat", "asymmetry"):
         prog = fixture(name).program()
@@ -208,6 +215,32 @@ def test_fuel_exhausted_witnesses_are_replayable_paths(engine):
                 assert len(args) == 1 and is_path(args[0])
             getattr(EvalContext(prog), _WITNESS_METHODS[tag])(*args)
     assert tags == set(_WITNESS_METHODS)
+
+
+# sha256 of one row per fuel budget 0..699 of observe((), 4) on p2,
+# asymmetry and nat: "name, budget, ok, fuel left", or "name, budget, kind,
+# witness, fuel left" with each frozenset argument of the witness sorted.
+# The query that runs out of fuel at each budget is the order of the first
+# 700 misses, so adding, dropping or reordering one of them moves the digest.
+OBSERVE_MISS_ORDER_SHA256 = (
+    "423a56b0f0d7ec08d4a112ccd35f2fd2711638bf0a4a93f3e72bff9422e84ef3"
+)
+
+
+def test_observe_miss_order_is_pinned():
+    rows = []
+    for name in ("p2", "asymmetry", "nat"):
+        prog = fixture(name).program()
+        for budget in range(700):
+            ctx = EvalContext(prog, fuel=budget)
+            try:
+                ctx.observe((), 4)
+                rows.append(f"{name}\t{budget}\tok\t{ctx.fuel}")
+            except DivergenceError as exc:
+                witness = sorted_witness(exc.witness)
+                rows.append(f"{name}\t{budget}\t{exc.kind}\t{witness!r}\t{ctx.fuel}")
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == OBSERVE_MISS_ORDER_SHA256
 
 
 def _answer(method, p):

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -9,7 +10,7 @@ from conftest import FRAGMENT_DEPS, fragment_program, mutated_text
 from test_semantics import _program_texts
 from inhcalc.corpus import corpus_terms
 from inhcalc.fixtures import FIXTURE_NAMES, fixture
-from inhcalc.lam import translate
+from inhcalc.lam import _LAM_KIND, _LAM_TOKEN_RE, translate
 from inhcalc.syntax import (
     CoreProgram,
     LexicalRef,
@@ -23,6 +24,11 @@ from inhcalc.syntax import (
     path_text,
     render,
     resolve_references,
+    _IDENT,
+    _KIND,
+    _Reader,
+    _TOKEN_RE,
+    _token_offset,
 )
 
 # ---------------------------------------------------------------------------
@@ -129,6 +135,64 @@ def test_parse_raises_only_parse_error_inside_the_source(source):
         lines = source.split("\n")
         assert 1 <= exc.line <= len(lines)
         assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1
+
+
+# Each grammar's tokenizer next to its reference, the pattern it had when
+# every whitespace run was a match of its own, and the grammar's token
+# kinds.
+_TOKENIZERS = {
+    "record": (
+        _TOKEN_RE,
+        re.compile(rf"\s+|#[^\n]*|(this@|{_IDENT}|[0-9]+|[{{}}=,.^]|[\s\S]+)"),
+        _KIND,
+    ),
+    "lambda": (
+        _LAM_TOKEN_RE,
+        re.compile(rf"\s+|([\\λ().=]|{_IDENT}|[\s\S]+)"),
+        _LAM_KIND,
+    ),
+}
+# Each grammar's own pieces, then those both draw from: a comment's "#",
+# two characters neither grammar reads, whitespace other than a space, and
+# each grammar's keywords.
+_SHARED_PIECES = ["#", "$", "é", "\t", "\n", "this@", "let", "in", "λ"]
+_TOKENIZER_PIECES = {
+    "record": ["{", "}", "=", ",", ".", "^", "a", "x_1", "0", "12", " "],
+    "lambda": ["\\", "(", ")", ".", "=", "a", "x_1", "0", " "],
+}
+
+
+class _Tokens(_Reader):
+    def error(self, message, pos=None):
+        raise ValueError(message, pos)
+
+
+def _tokens(source, pattern, kinds):
+    """The texts and kinds a reader makes of ``source``, or its error's
+    text and position."""
+    try:
+        reader = _Tokens(source, pattern, kinds)
+    except ValueError as exc:
+        return exc.args
+    return reader.texts, reader.kinds
+
+
+@pytest.mark.parametrize("grammar", sorted(_TOKENIZERS))
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tokenizer_reads_like_its_reference(grammar, data):
+    pattern, reference, kinds = _TOKENIZERS[grammar]
+    pieces = st.sampled_from(_TOKENIZER_PIECES[grammar] + _SHARED_PIECES)
+    source = data.draw(st.lists(pieces, max_size=40).map("".join))
+    read = _tokens(source, pattern, kinds)
+    assert read == _tokens(source, reference, kinds)
+    if grammar == "record" and isinstance(read[0], list):
+        # A parse error past the first token is placed by _token_offset.
+        offsets = [m.start() for m in reference.finditer(source) if m.group(1)]
+        assert [_token_offset(source, i) for i in range(len(read[0]))] == [
+            *offsets,
+            len(source),
+        ]
 
 
 def test_named_not_found():
