@@ -26,12 +26,17 @@ plain tuple of its fields: ``Var("x") == ("x",)`` is True.  The hot paths
 body of the generated constructor without its Python frame, at about half
 its cost.
 
+The parser, ``anf_transform`` and ``translate`` each read a run of
+binders, λs and lets alike, in one loop: it binds each name, handles the
+innermost body, then closes the run from the inside out.
 ``anf_transform`` walks nested applications, in argument or function
-position alike, on a work list, and it, ``translate`` and
-``named_to_oracle`` walk a run of lets in a loop, so a long spine,
-zig-zag or let chain costs them no stack frame per link; a binder still
-costs ``anf_transform`` and ``translate`` two.  The parser recurses per
-nested term and loops only over juxtaposition.
+position alike, on a work list, and ``named_to_oracle`` walks a run of
+lets in a loop.  So a binder nest, a long spine, a zig-zag or a let
+chain costs these passes no stack frame per link.  What still costs
+frames is a term nested inside another: the parser spends one per
+parenthesis and per let's right side, ``anf_transform`` and
+``translate`` two per abstraction inside an application, and
+``named_to_oracle`` one per λ.
 """
 
 from __future__ import annotations
@@ -117,10 +122,11 @@ _LAM_KIND = {
 
 
 class _LamParser(_Reader):
-    """Recursive descent over the shared reader's token kinds and texts.
-    It counts the binders in scope by name, binding inline so that a
-    binder costs one stack frame, and collects the names it reads free
-    and the first let-name that is a synthetic label."""
+    """The λ grammar over the shared reader's token kinds and texts.
+    ``parse_term`` reads one term in a loop; only a parenthesis and a
+    let's right side cost it a stack frame, and a binder costs none.  It
+    counts the binders in scope by name and collects the names it reads
+    free and the first let-name that is a synthetic label."""
 
     def __init__(self, text: str):
         super().__init__(text, _LAM_TOKEN_RE, _LAM_KIND)
@@ -129,7 +135,9 @@ class _LamParser(_Reader):
         self.synthetic: str | None = None
 
     def error(self, message: str, pos: int | None = None):
-        raise LambdaParseError(message if pos is None else f"{message} at {pos}")
+        if pos is None:
+            pos = self.token_offset(self.i)
+        raise LambdaParseError(f"{message} at {pos}")
 
     def parse(self) -> Term:
         t = self.parse_term()
@@ -137,52 +145,55 @@ class _LamParser(_Reader):
         return t
 
     def parse_term(self) -> Term:
-        kind = self.kinds[self.i]
-        if kind == "lam":
-            self.i += 1
-            name = self.expect("ident")
-            self.expect("dot")
-            rhs = None
-        elif kind == "let":
-            self.i += 1
-            name = self.expect("ident")
-            self.expect("eq")
-            if name in SYNTHETIC_LABELS and self.synthetic is None:
-                self.synthetic = name
-            rhs = self.parse_term()  # the let-name is not in scope here
-            self.expect("in")
-        else:
-            return self.parse_application()
-        scope = self.scope
-        scope[name] = scope.get(name, 0) + 1
-        body = self.parse_term()
-        scope[name] -= 1
-        return _new(Abs, (name, body)) if rhs is None else _new(Let, (name, rhs, body))
-
-    def parse_application(self) -> Term:
-        t = self.parse_atom()
-        while (kind := self.kinds[self.i]) in ("lp", "ident", "lam"):
-            if kind == "lam":
-                # allow "f \x. M" to consume the trailing abstraction
-                return _new(App, (t, self.parse_term()))
-            t = _new(App, (t, self.parse_atom()))
+        """Atoms left to right, applied as they come.  A ``\\x.``, or a
+        ``let x = M in`` that no atom precedes, opens a binder whose body
+        runs to the end of the term: the run keeps (term applied so far,
+        name, M or None) and binds the name, and where the term ends it
+        closes inside out."""
+        kinds, texts, scope = self.kinds, self.texts, self.scope
+        run = []
+        t = None  # the term applied so far in the innermost body
+        while True:
+            i = self.i
+            kind = kinds[i]
+            if kind == "ident":
+                self.i = i + 1
+                name = texts[i]
+                if not scope.get(name):
+                    self.free.add(name)
+                atom = _new(Var, (name,))
+            elif kind == "lp":
+                self.i = i + 1
+                atom = self.parse_term()
+                self.expect("rp")
+            elif kind == "lam" or (kind == "let" and t is None):
+                self.i = i + 1
+                name = self.expect("ident")
+                if kind == "lam":
+                    self.expect("dot")
+                    run.append((t, name, None))
+                    t = None
+                else:
+                    self.expect("eq")
+                    if name in SYNTHETIC_LABELS and self.synthetic is None:
+                        self.synthetic = name
+                    rhs = self.parse_term()  # the let-name is not in scope here
+                    self.expect("in")
+                    run.append((None, name, rhs))
+                scope[name] = scope.get(name, 0) + 1
+                continue
+            elif t is None:
+                self.error(f"unexpected token {kind}")
+            else:
+                break
+            t = atom if t is None else _new(App, (t, atom))
+        while run:
+            fun, name, rhs = run.pop()
+            scope[name] -= 1
+            t = _new(Abs, (name, t)) if rhs is None else _new(Let, (name, rhs, t))
+            if fun is not None:
+                t = _new(App, (fun, t))
         return t
-
-    def parse_atom(self) -> Term:
-        i = self.i
-        kind = self.kinds[i]
-        if kind == "ident":
-            self.i = i + 1
-            name = self.texts[i]
-            if not self.scope.get(name):
-                self.free.add(name)
-            return _new(Var, (name,))
-        if kind == "lp":
-            self.i = i + 1
-            t = self.parse_term()
-            self.expect("rp")
-            return t
-        self.error(f"unexpected token {kind}")
 
 
 def parse_lambda(text: str) -> Term:
@@ -214,10 +225,11 @@ class _Anf:
     ties them in a cycle and reference counting frees the normalizer when
     it returns.  Each helper returns its input itself when conversion
     changes none of its parts, so only a spine that gains lets is rebuilt.
-    Binding is inline, so a binder costs two stack frames.  Applications
-    nested in argument or function position cost none, as ``application``
-    walks them on a work list, and a run of ANF lets takes one loop step
-    per let."""
+    A binder costs no stack frame, as ``to_comp`` reads a run of them in
+    a loop, and nor does an application nested in argument or function
+    position, as ``application`` walks them on a work list.  An
+    abstraction inside an application costs two frames, ``application``'s
+    and its own ``to_comp``'s."""
 
     def __init__(self):
         self.scope: dict[str, int] = {}
@@ -233,18 +245,6 @@ class _Anf:
             self.counter += 1
             if not self.scope.get(name):
                 return name
-
-    def to_value(self, v: Term) -> Term:
-        if isinstance(v, Var):
-            return v
-        if isinstance(v, Abs):
-            param, body = v
-            scope = self.scope
-            scope[param] = scope.get(param, 0) + 1
-            new = self.to_comp(body)
-            scope[param] -= 1
-            return v if new is body else _new(Abs, (param, new))
-        raise TypeError(f"not a value: {v!r}")
 
     def application(self, u: App, lets: list) -> App:
         """u with both parts atomized; the lets they need go to lets.  The
@@ -275,42 +275,49 @@ class _Anf:
                 name, rhs, body = t
                 work.append(_new(App, (_new(Abs, (name, body)), rhs)))
             else:
-                atoms.append(self.to_value(t))
+                atoms.append(self.to_comp(t))
 
     def to_comp(self, u: Term) -> Term:
-        if is_value(u):
-            return self.to_value(u)
-        if isinstance(u, Let):
-            # a run of lets whose right sides are applications of values
-            # takes one loop: each right side, then its name bound over the rest
-            scope = self.scope
-            run = []
-            while isinstance(u, Let):
+        """u in ANF.  A run of abstractions and ANF lets, whose right sides
+        apply a value to a value, takes one loop: each binder's right side,
+        then its name bound over the rest; the innermost body is a variable
+        or an application spine, and the run closes inside out."""
+        scope = self.scope
+        run = []
+        while True:
+            if isinstance(u, Abs):
+                name, body = u
+                run.append((u, None))
+            elif isinstance(u, Let):
                 name, rhs, body = u
                 if not (isinstance(rhs, App) and is_value(rhs[0]) and is_value(rhs[1])):
-                    if run:
-                        break
-                    return self.to_comp(_new(App, (_new(Abs, (name, body)), rhs)))
+                    u = _new(App, (_new(Abs, (name, body)), rhs))  # its redex
+                    break
                 fun, arg = rhs
-                new_fun, new_arg = self.to_value(fun), self.to_value(arg)
+                new_fun, new_arg = self.to_comp(fun), self.to_comp(arg)
                 if new_fun is not fun or new_arg is not arg:
                     rhs = _new(App, (new_fun, new_arg))
                 run.append((u, rhs))
-                scope[name] = scope.get(name, 0) + 1
-                u = body
-            out = self.to_comp(u)
-            for let, new_rhs in reversed(run):
-                name, rhs, body = let
-                scope[name] -= 1
-                if new_rhs is not rhs or out is not body:
-                    let = _new(Let, (name, new_rhs, out))
-                out = let
-            return out
-        # u is an application spine
-        lets: list = []
-        out: Term = self.application(u, lets)
-        for name, app in reversed(lets):
-            out = _new(Let, (name, app, out))
+            else:
+                break
+            scope[name] = scope.get(name, 0) + 1
+            u = body
+        if isinstance(u, Var):
+            out = u
+        elif not isinstance(u, App):
+            raise TypeError(f"not a value: {u!r}")
+        else:
+            lets: list = []
+            out = self.application(u, lets)
+            for name, app in reversed(lets):
+                out = _new(Let, (name, app, out))
+        while run:
+            binder, rhs = run.pop()
+            name, body = binder[0], binder[-1]
+            scope[name] -= 1
+            if out is not body or rhs is not None and rhs is not binder[1]:
+                binder = _new(Abs, (name, out)) if rhs is None else _new(Let, (name, rhs, out))
+            out = binder
         return out
 
 
@@ -354,44 +361,42 @@ _NO_LABELS = frozenset()
 
 class _Translation:
     """The core program of one closed ANF term, with the ANF-shape,
-    closed-term and let-name checks made on the way."""
+    closed-term and let-name checks made on the way.  A binder costs no
+    stack frame, as ``comp`` reads a run of abstractions and lets in a
+    loop; an abstraction inside an application record costs two,
+    ``application``'s and its own ``comp``'s."""
 
     def __init__(self):
         self.program = CoreProgram()
         self.node = self.program._node
         self.add = self.program._add
-        # variable in scope -> (binder level, projection that reads it)
-        self.scope: dict[str, tuple[int, tuple[str, ...]]] = {}
+        # variable -> (binder level, projection that reads it), None out of scope
+        self.scope: dict[str, tuple[int, tuple[str, ...]] | None] = {}
 
     def ref(self, v: Var, level: int) -> Reference:
         """The reference to variable v from a node at the given level."""
         (name,) = v
-        try:
-            j, downs = self.scope[name]
-        except KeyError:
-            raise FreeVariableError(
-                f"translate requires a closed term: {name!r} is free"
-            ) from None
+        bound = self.scope.get(name)
+        if bound is None:
+            raise FreeVariableError(f"translate requires a closed term: {name!r} is free")
+        j, downs = bound
         return Reference(level - 1 - j, downs)
 
     def comp(self, m: Term, i: int, level: int) -> None:
         """Translate the computation m into the record of id i, at the
-        given level."""
-        node, add = self.node, self.add
-        if isinstance(m, Var):
-            node[i] = _new(Node, (_NO_LABELS, (self.ref(m, level),)))
-        elif isinstance(m, Abs):
-            param, body = m
-            node[i] = _LAMBDA_NODE
-            add(i, "argument")
-            self.bound(param, level, _ARGUMENT, body, add(i, "result"))
-        elif isinstance(m, Let):
-            # a run of lets takes one loop: each let's record and right
-            # side, then, but for the last, its name bound over the rest of
-            # the run; run is a cons list of the bindings to restore
-            scope = self.scope
-            run = None
-            while True:
+        given level.  A run of abstractions and lets takes one loop: each
+        binder's record, and a let's right side, then its name bound over
+        the rest one level down; run is a cons list of the bindings to
+        restore once the innermost body is written."""
+        node, add, scope = self.node, self.add, self.scope
+        run = None
+        while True:
+            if isinstance(m, Abs):
+                name, body = m
+                node[i] = _LAMBDA_NODE
+                add(i, "argument")
+                downs = _ARGUMENT
+            elif isinstance(m, Let):
                 name, rhs, body = m
                 if name in SYNTHETIC_LABELS:
                     raise SyntheticNameCollision(
@@ -401,45 +406,33 @@ class _Translation:
                     raise ValueError(_NOT_ANF)
                 node[i] = _new(Node, (frozenset((name, "result")), ()))
                 self.application(rhs, add(i, name), level + 1)
-                if not isinstance(body, Let):
-                    break
-                i = add(i, "result")
-                run = (name, scope.get(name), run)
-                scope[name] = (level, (name, "result"))
-                level += 1
-                m = body
-            self.bound(name, level, (name, "result"), body, add(i, "result"))
-            while run is not None:
-                name, outer, run = run
-                if outer is None:
-                    del scope[name]
-                else:
-                    scope[name] = outer
+                downs = (name, "result")
+            else:
+                break
+            i = add(i, "result")
+            run = (name, scope.get(name), run)
+            scope[name] = (level, downs)
+            level += 1
+            m = body
+        if isinstance(m, Var):
+            node[i] = _new(Node, (_NO_LABELS, (self.ref(m, level),)))
         elif isinstance(m, App):
             node[i] = _TAIL_NODE
             add(i, "result", _FORWARD_NODE)
             self.application(m, add(i, "tailCall"), level + 1)
         else:
             raise ValueError(_NOT_ANF)
-
-    def bound(self, name: str, level: int, downs: tuple, body: Term, i: int) -> None:
-        """Translate body into the record of id i, a child of the binder at
-        the given level, with name bound there."""
-        scope = self.scope
-        outer = scope.get(name)
-        scope[name] = (level, downs)
-        self.comp(body, i, level + 1)
-        if outer is None:
-            del scope[name]
-        else:
+        while run is not None:
+            name, outer, run = run
             scope[name] = outer
 
     def application(self, app: App, i: int, level: int) -> None:
         """The application record { T(V1), argument = T(V2) } of id i.
 
         A lambda literal in function position is inlined (set union): its
-        record is this record.  The argument counts this record as one
-        scope level, but the inlined binder is not in scope there.
+        record is this record, and its ``result`` child comes before the
+        ``argument`` child.  The argument counts this record as one scope
+        level, but the inlined binder is not in scope there.
         """
         fun, arg = app
         if isinstance(fun, Var):
@@ -447,7 +440,12 @@ class _Translation:
         elif isinstance(fun, Abs):
             param, body = fun
             self.node[i] = _LAMBDA_NODE
-            self.bound(param, level, _ARGUMENT, body, self.add(i, "result"))
+            result = self.add(i, "result")
+            scope = self.scope
+            outer = scope.get(param)
+            scope[param] = (level, _ARGUMENT)
+            self.comp(body, result, level + 1)
+            scope[param] = outer
         else:
             raise ValueError(_NOT_ANF)
         if not isinstance(arg, (Var, Abs)):

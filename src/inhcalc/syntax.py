@@ -123,11 +123,12 @@ class _Reader:
     ``texts`` and ``kinds`` end with the end of input, text ``""`` and kind
     ``eof``, and ``i`` is the cursor.  A subclass raises its own errors in
     ``error(message, pos=None)``, where ``pos`` is an offset into the
-    source if known.
+    source if known, and ``token_offset(self.i)`` if not.
     """
 
     def __init__(self, source: str, pattern: re.Pattern, kinds: dict[str, str]):
         self.source = source
+        self.pattern = pattern
         texts = list(filter(None, pattern.findall(source)))
         if texts and texts[-1][0] not in kinds:
             self.error(
@@ -145,6 +146,15 @@ class _Reader:
             self.error(f"expected {kind}, found {self.kinds[i]}")
         self.i = i + 1
         return self.texts[i]
+
+    def token_offset(self, index: int) -> int:
+        """Offset of token ``index`` in the source; the end for the eof token."""
+        for m in self.pattern.finditer(self.source):
+            if m.group(1):
+                if index == 0:
+                    return m.start()
+                index -= 1
+        return len(self.source)
 
 
 # Whitespace is any ``\s``; a comment runs from ``#`` to the end of the line.
@@ -166,20 +176,10 @@ def _line_column(source: str, pos: int) -> tuple[int, int]:
     return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
-def _token_offset(source: str, index: int) -> int:
-    """Offset of token ``index`` in ``source``; the end for the eof token."""
-    for m in _TOKEN_RE.finditer(source):
-        if m.group(1):
-            if index == 0:
-                return m.start()
-            index -= 1
-    return len(source)
-
-
 class _Parser(_Reader):
     def error(self, message: str, pos: int | None = None):
         if pos is None:
-            pos = _token_offset(self.source, self.i)
+            pos = self.token_offset(self.i)
         raise ParseError(message, *_line_column(self.source, pos))
 
     def parse_program(self) -> CoreProgram:

@@ -32,6 +32,7 @@ from inhcalc.lam import (
     LambdaParseError,
     Let,
     NAMED_TERMS,
+    SYNTHETIC_LABELS,
     SyntheticNameCollision,
     UNEXPANDED,
     Var,
@@ -98,6 +99,13 @@ def test_parse_lambda_unexpected_character(text, message):
     assert str(info.value) == message
 
 
+# The offset that each parse error of the table below ends with.
+_PARSE_ERROR_OFFSETS = {
+    "\\x. (x": 6, ")": 0, "": 0, "\\. x": 1, "let = x in x": 4, "\\x x": 3,
+    "let x = \\y. y in": 16, "\\x. x)": 5, "\\x. let result = x x in (": 25,
+}
+
+
 @pytest.mark.parametrize(
     "text, error, message",
     [
@@ -128,6 +136,8 @@ def test_parse_lambda_unexpected_character(text, message):
 def test_parse_lambda_error_messages(text, error, message):
     with pytest.raises(error) as info:
         parse_lambda(text)
+    if error is LambdaParseError:
+        message += f" at {_PARSE_ERROR_OFFSETS[text]}"
     assert str(info.value) == message
 
 
@@ -145,6 +155,102 @@ def test_parse_lambda_raises_only_its_own_errors(text):
         parse_lambda(text)
     except (LambdaParseError, FreeVariableError):
         pass
+
+
+class _RecursiveLamParser(_LamParser):
+    """The λ parser as it was before its binder loop: recursive descent,
+    one stack frame per binder and three per parenthesis."""
+
+    def parse_term(self):
+        kind = self.kinds[self.i]
+        if kind == "lam":
+            self.i += 1
+            name = self.expect("ident")
+            self.expect("dot")
+            rhs = None
+        elif kind == "let":
+            self.i += 1
+            name = self.expect("ident")
+            self.expect("eq")
+            if name in SYNTHETIC_LABELS and self.synthetic is None:
+                self.synthetic = name
+            rhs = self.parse_term()  # the let-name is not in scope here
+            self.expect("in")
+        else:
+            return self.parse_application()
+        scope = self.scope
+        scope[name] = scope.get(name, 0) + 1
+        body = self.parse_term()
+        scope[name] -= 1
+        return Abs(name, body) if rhs is None else Let(name, rhs, body)
+
+    def parse_application(self):
+        t = self.parse_atom()
+        while (kind := self.kinds[self.i]) in ("lp", "ident", "lam"):
+            if kind == "lam":
+                # allow "f \x. M" to consume the trailing abstraction
+                return App(t, self.parse_term())
+            t = App(t, self.parse_atom())
+        return t
+
+    def parse_atom(self):
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "ident":
+            self.i = i + 1
+            name = self.texts[i]
+            if not self.scope.get(name):
+                self.free.add(name)
+            return Var(name)
+        if kind == "lp":
+            self.i = i + 1
+            t = self.parse_term()
+            self.expect("rp")
+            return t
+        self.error(f"unexpected token {kind}")
+
+
+def _parsed(parser_class, text):
+    """The typed term, free names and first synthetic let-name that a
+    parser reads in text, or its error's type and text."""
+    try:
+        parser = parser_class(text)
+        term = parser.parse()
+    except LambdaParseError as exc:
+        return type(exc), str(exc)
+    return typed(term), parser.free, parser.synthetic
+
+
+_DIFFERENTIAL_PIECES = [
+    "\\", "λ", ".", "(", ")", "=", "let", "in", "x", "y", "result", "_a0",
+    "$", " ", "\n",
+]
+
+
+_NAMES = st.sampled_from(["x", "y", "result", "_a0"])
+# Strings over the pieces, which seldom parse, and terms of the grammar,
+# which are well formed but may be open or use a synthetic let-name.
+_DIFFERENTIAL_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_DIFFERENTIAL_PIECES), max_size=40).map("".join),
+    st.recursive(
+        _NAMES,
+        lambda inner: st.one_of(
+            st.builds("\\{}. {}".format, _NAMES, inner),
+            st.builds("λ{}.{}".format, _NAMES, inner),
+            st.builds("let {} = {} in {}".format, _NAMES, inner, inner),
+            st.builds("({}) {}".format, inner, inner),
+            st.builds("{} ({})".format, inner, inner),
+            st.builds("{}\n{}".format, inner, _NAMES),
+        ),
+        max_leaves=12,
+    ),
+)
+
+
+@settings(max_examples=700, deadline=None, derandomize=True)
+@given(_DIFFERENTIAL_TEXTS)
+def test_parse_lambda_reads_like_its_recursive_reference(text):
+    assert _parsed(_LamParser, text) == _parsed(_RecursiveLamParser, text)
 
 
 def _lam_tokens(text):
@@ -221,15 +327,71 @@ def _binder_nest(n):
     return t
 
 
+def _same_term(a, b):
+    """a == b for terms of any depth, compared link by link: tuple ``==``
+    recurses in C once per level."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if type(a) is not type(b):
+            return False
+        for x, y in zip(a, b):
+            if isinstance(x, str):
+                if x != y:
+                    return False
+            else:
+                pairs.append((x, y))
+    return True
+
+
+def test_same_term_compares_every_link():
+    t = parse_lambda(r"\x. let y = x x in \z. y (\w. w)")
+    assert _same_term(t, rebuilt(t))
+    for other in [r"\x. let y = x x in \z. y (\v. v)", r"\x. let y = x x in \z. y z",
+                  r"\x. let y = x x in (\z. y) (\w. w)", r"\x. (\y. \z. y (\w. w)) (x x)"]:
+        assert not _same_term(t, parse_lambda(other)), other
+
+
 def test_lambda_front_end_takes_deep_binder_nests():
-    # parse_lambda recurses once per binder, anf_transform and translate
-    # twice, while nested applications cost them no frame; a helper call
-    # per binder would overflow these nests
-    text = "".join(f"\\x{i}. " for i in range(800)) + "x0"
-    assert parse_lambda(text) == _binder_nest(800)
-    t = _binder_nest(400)
+    # a binder costs parse_lambda, anf_transform and translate no stack
+    # frame, and render and parse_program walk the records in loops
+    assert sys.getrecursionlimit() <= 1000
+    n = 10_000
+    t = parse_lambda("".join(f"\\x{i}. " for i in range(n)) + "x0")
+    assert _same_term(t, _binder_nest(n))
     assert anf_transform(t) is t
-    assert len(translate(t).nodes) == 801
+    prog = translate(t)
+    assert len(prog.nodes) == len(parse_program(render(prog)).nodes) == 20_001
+
+
+def test_lambda_front_end_takes_deep_nests_of_lambdas_and_lets():
+    # \x0. let y0 = x0 x0 in \x1. let y1 = x1 x1 in ... in y0 x<n-1>: one
+    # binder loop per pass reads λs and lets alike
+    assert sys.getrecursionlimit() <= 1000
+    n = 10_000
+    text = "".join(f"\\x{i}. let y{i} = x{i} x{i} in " for i in range(n))
+    t = parse_lambda(text + f"y0 x{n - 1}")
+    expected = App(Var("y0"), Var(f"x{n - 1}"))
+    for i in reversed(range(n)):
+        expected = Abs(f"x{i}", Let(f"y{i}", App(Var(f"x{i}"), Var(f"x{i}")), expected))
+    assert _same_term(t, expected)
+    assert anf_transform(t) is t
+    prog = translate(t)
+    assert len(prog.nodes) == len(parse_program(render(prog)).nodes) == 50_004
+
+
+def test_parse_lambda_takes_an_800_redex_chain():
+    # a parenthesis costs the parser one stack frame, and the chain's
+    # result^n paths are scanned one by one
+    assert sys.getrecursionlimit() <= 1000
+    k = 800
+    t = parse_lambda(chain_text(k))
+    expected = Abs("y", Var("y"))
+    for i in reversed(range(k)):
+        expected = App(Abs(f"x{i}", Var(f"x{i}")), expected)
+    assert _same_term(t, expected)
+    report = converges(translate(anf_transform(t)), max_depth=k + 1)
+    assert (report.converged, report.depth) == (True, k)
 
 
 def test_anf_transform_and_translate_walk_a_long_function_spine():
@@ -276,7 +438,7 @@ def test_anf_transform_and_translate_walk_a_deep_zigzag():
 
 
 def test_translate_walks_a_long_let_chain():
-    # built by a loop: the parser recurses once per let
+    # a run of 10,000 lets takes translate one loop step per let
     assert sys.getrecursionlimit() <= 1000
     t = let_chain(10_000)
     assert anf_transform(t) is t
@@ -397,6 +559,15 @@ def test_let_right_side_sees_the_outer_binding():
         assert head_reduce(named_to_oracle(anf)).status == "hnf"
         report = converges(translate(anf), fuel=10_000)
         assert (report.converged, report.depth) == (True, 2)
+
+
+def test_translate_scopes_a_lambda_to_its_body():
+    # a λ's parameter name is not written to the records, so renaming one
+    # changes nothing; the last x is the outer one, after an inlined λ in
+    # function position and after a λ in argument position alike
+    for text in (r"\x. let y = (\x. x) (\z. z) in x", r"\x. let y = x (\x. x) in x"):
+        renamed = text.replace(r"\x. x", r"\w. w")
+        assert render(translate(parse_lambda(text))) == render(translate(parse_lambda(renamed)))
 
 
 # ---------------------------------------------------------------------------

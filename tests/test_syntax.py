@@ -28,7 +28,6 @@ from inhcalc.syntax import (
     _KIND,
     _Reader,
     _TOKEN_RE,
-    _token_offset,
 )
 
 # ---------------------------------------------------------------------------
@@ -186,10 +185,11 @@ def test_tokenizer_reads_like_its_reference(grammar, data):
     source = data.draw(st.lists(pieces, max_size=40).map("".join))
     read = _tokens(source, pattern, kinds)
     assert read == _tokens(source, reference, kinds)
-    if grammar == "record" and isinstance(read[0], list):
-        # A parse error past the first token is placed by _token_offset.
+    if isinstance(read[0], list):
+        # A parse error past the first token is placed by token_offset.
+        reader = _Tokens(source, pattern, kinds)
         offsets = [m.start() for m in reference.finditer(source) if m.group(1)]
-        assert [_token_offset(source, i) for i in range(len(read[0]))] == [
+        assert [reader.token_offset(i) for i in range(len(read[0]))] == [
             *offsets,
             len(source),
         ]
