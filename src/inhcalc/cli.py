@@ -16,6 +16,7 @@ from . import corpus as corpus_mod
 from . import fixtures as fixtures_mod
 from .lam import (
     DEFAULT_MAX_DEPTH,
+    ORACLE_FUEL,
     FreeVariableError,
     LambdaParseError,
     SyntheticNameCollision,
@@ -62,14 +63,11 @@ def _load_program(file: str):
         _fail_input(f"{file}: {exc}")
 
 
-fuel_option = click.option(
-    "--fuel",
-    type=click.IntRange(min=1),
-    default=DEFAULT_FUEL,
-    envvar="INHCALC_FUEL",
-    show_default=True,
-    help="Evaluation step budget.",
-)
+def fuel_option(default: int = DEFAULT_FUEL, unit: str = "the evaluator's memo misses"):
+    return click.option("--fuel", type=click.IntRange(min=1), default=default,
+                        envvar="INHCALC_FUEL", show_default=True, help=f"Step budget, in {unit}.")
+
+
 max_depth_option = click.option(
     "--max-depth",
     type=click.IntRange(min=1),
@@ -119,7 +117,7 @@ def main():
 )
 @click.option("--depth", type=click.IntRange(min=0), default=2, show_default=True,
               help="Observation depth for --op tree.")
-@fuel_option
+@fuel_option()
 @format_option
 def query(file, path_str, op, depth, fuel, output_format):
     """Evaluate a query against a surface-syntax program."""
@@ -182,7 +180,7 @@ def translate_cmd(expr):
 
 @lambda_group.command(name="converges")
 @click.argument("expr")
-@fuel_option
+@fuel_option()
 @max_depth_option
 @click.option("--expect-converge", is_flag=True,
               help="Exit 1 unless the term converges.")
@@ -198,7 +196,7 @@ def converges_cmd(expr, fuel, max_depth, expect_converge):
 @lambda_group.command(name="bohm")
 @click.argument("expr")
 @click.option("--depth", type=click.IntRange(min=0), default=2, show_default=True)
-@fuel_option
+@fuel_option(ORACLE_FUEL, "the oracle's beta-steps per Böhm-tree node")
 def bohm_cmd(expr, depth, fuel):
     """Print the head-reduction oracle's tree prefix of a closed term."""
     term = _parse_term(expr)
@@ -218,7 +216,7 @@ def fixtures_list():
 
 @fixtures_group.command(name="run")
 @click.argument("name", required=False)
-@fuel_option
+@fuel_option()
 def fixtures_run(name, fuel):
     """Evaluate pinned expectations for one fixture, or all of them."""
     if name is not None and name not in fixtures_mod.FIXTURE_NAMES:
@@ -238,8 +236,7 @@ def fixtures_run(name, fuel):
 @click.option("--size", type=click.IntRange(min=1, max=corpus_mod.MAX_CORPUS_SIZE),
               default=corpus_mod.MAX_CORPUS_SIZE, show_default=True,
               help="Maximum AST size of enumerated closed terms.")
-@click.option("--fuel", type=click.IntRange(min=1), default=10_000,
-              envvar="INHCALC_FUEL", show_default=True)
+@fuel_option(10_000, "the oracle's beta-steps and each engine's memo misses, per term")
 @max_depth_option
 def corpus(size, fuel, max_depth):
     """Sweep the small-term corpus against the oracle; print verdicts.

@@ -26,17 +26,16 @@ plain tuple of its fields: ``Var("x") == ("x",)`` is True.  The hot paths
 body of the generated constructor without its Python frame, at about half
 its cost.
 
-The parser, ``anf_transform`` and ``translate`` each read a run of
-binders, λs and lets alike, in one loop: it binds each name, handles the
-innermost body, then closes the run from the inside out.
-``anf_transform`` walks nested applications, in argument or function
-position alike, on a work list, and ``named_to_oracle`` walks a run of
-lets in a loop.  So a binder nest, a long spine, a zig-zag or a let
-chain costs these passes no stack frame per link.  What still costs
-frames is a term nested inside another: the parser spends one per
-parenthesis and per let's right side, ``anf_transform`` and
-``translate`` two per abstraction inside an application, and
-``named_to_oracle`` one per λ.
+The parser, ``anf_transform``, ``translate`` and ``named_to_oracle``
+each read a run of binders, λs and lets alike, in one loop: it binds
+each name, handles the innermost body, then closes the run from the
+inside out.  ``anf_transform`` walks nested applications, in argument or
+function position alike, on a work list.  So a binder nest, a long
+spine, a zig-zag or a let chain costs these passes no stack frame per
+link.  What still costs frames is a term nested inside another: the
+parser spends one per parenthesis and per let's right side,
+``anf_transform`` and ``translate`` two per abstraction inside an
+application, and ``named_to_oracle`` one per nested application.
 """
 
 from __future__ import annotations
@@ -524,36 +523,41 @@ def converges(
 
 OTerm = tuple
 
+ORACLE_FUEL = 10_000  # the oracle's budget: beta-steps per head reduction
+
 
 def named_to_oracle(t: Term, env: tuple[str, ...] = ()) -> OTerm:
     """Convert a named term to an oracle de Bruijn term.  Let-bindings are
-    expanded as beta-redexes: let x = M in N == (\\x. N) M."""
-    if isinstance(t, Var):
-        (var,) = t
-        try:
-            # env is innermost first, so the first match is the binder
-            return ("var", env.index(var))
-        except ValueError:
-            raise FreeVariableError(f"unbound variable {var!r}") from None
-    if isinstance(t, Abs):
-        param, body = t
-        return ("abs", named_to_oracle(body, (param,) + env))
-    if isinstance(t, App):
-        fun, arg = t
-        return ("app", named_to_oracle(fun, env), named_to_oracle(arg, env))
-    if isinstance(t, Let):
-        # a run of lets takes one loop; the innermost body is converted
-        # first, then each right side, innermost first, as the recursion would
-        run = []
-        while isinstance(t, Let):
+    expanded as beta-redexes: let x = M in N == (\\x. N) M.  A run of λs and
+    lets takes one loop: ``run`` is a cons list of them, None for a λ and
+    (right side, env) for a let, closed once the innermost body is converted."""
+    run = None
+    while True:
+        if isinstance(t, Var):
+            (var,) = t
+            try:
+                # env is innermost first, so the first match is the binder
+                out = ("var", env.index(var))
+            except ValueError:
+                raise FreeVariableError(f"unbound variable {var!r}") from None
+            break
+        if isinstance(t, App):
+            fun, arg = t
+            out = ("app", named_to_oracle(fun, env), named_to_oracle(arg, env))
+            break
+        if isinstance(t, Abs):
+            name, t = t
+            run = (None, run)
+        elif isinstance(t, Let):
             name, rhs, t = t
-            run.append((rhs, env))
-            env = (name,) + env
-        out = named_to_oracle(t, env)
-        for rhs, env in reversed(run):
-            out = ("app", ("abs", out), named_to_oracle(rhs, env))
-        return out
-    raise TypeError(t)
+            run = ((rhs, env), run)
+        else:
+            raise TypeError(t)
+        env = (name,) + env
+    while run is not None:
+        binding, run = run
+        out = ("abs", out) if binding is None else ("app", ("abs", out), named_to_oracle(*binding))
+    return out
 
 
 _LEVEL_NAMES = tuple(f"v{k}" for k in range(64))  # read, not formatted, below 64
@@ -642,7 +646,7 @@ def _machine(term: OTerm, env, binders: int, fuel: int):
             seen.add(state)
 
 
-def head_reduce(t: OTerm, fuel: int = 10_000) -> HeadResult:
+def head_reduce(t: OTerm, fuel: int = ORACLE_FUEL) -> HeadResult:
     """Head-reduce t for at most ``fuel`` beta-steps.  Status "diverged"
     means a repeated machine state proved that t has no head normal form."""
     status, steps, _ = _machine(t, None, 0, fuel)
@@ -667,7 +671,7 @@ class HnfNode(NamedTuple):
 BohmNode = Bottom | HnfNode
 
 
-def bohm_prefix(t: OTerm, depth: int = 2, fuel: int = 10_000) -> BohmNode:
+def bohm_prefix(t: OTerm, depth: int = 2, fuel: int = ORACLE_FUEL) -> BohmNode:
     return _bohm((t, None), 0, depth, fuel)
 
 

@@ -6,10 +6,12 @@ closure of ``bases``) over a CoreProgram by unfolding the mutually
 recursive equations on demand.  The equations run on integer path ids:
 a context adopts the program's (parent, label) trie and interns each
 further path it meets once, and its public methods take and return
-paths.  Results are memoized per
-query key; a query key that re-enters its own in-flight evaluation
-reports ``Divergence(Cycle)``, and a global fuel budget bounds infinite
-acyclic unfoldings with ``Divergence(FuelExhausted)``.
+paths.  Results are memoized per query key; a query key that re-enters
+its own in-flight evaluation reports ``Divergence(Cycle)``, and a global
+fuel budget bounds infinite acyclic unfoldings with
+``Divergence(FuelExhausted)``.  The equations recurse on the Python
+stack; ``EvalContext.observe`` and the printers of its tree walk the
+observation tree on explicit stacks.
 
 An evaluation builds no reference cycle, so reference counting alone
 frees it, also when an error escapes.  ``EvalContext.observe`` therefore
@@ -366,87 +368,85 @@ class EvalContext(InternedContext):
         entries = self._supers(self._intern(p))
         return self._paths(frozenset().union(*(overrides for _, overrides in entries)))
 
-    def observe(
-        self, p: Path, depth: int, record_divergence: bool = False
-    ) -> "ObservationTree":
+    def observe(self, p: Path, depth: int, record_divergence: bool = False) -> "ObservationTree":
         """The tree of ``properties`` below ``p``, ``depth`` levels deep.  A
         divergent node raises, or with ``record_divergence`` is recorded in
         the tree.  Runs with automatic cyclic collection off, and on the way
-        out enables only a collector that it disabled."""
-        if not gc.isenabled():
-            return self._observe(p, depth, record_divergence)
+        out enables only a collector that it disabled.  One loop walks a
+        stack of (path, depth left, parent's children, label), pushing
+        children in reverse label order: it asks in preorder and spends no
+        frame per level.  Each node goes through the public ``properties``,
+        so a wrapper around it sees every node and every divergence."""
+        enabled = gc.isenabled()
         gc.disable()
         try:
-            return self._observe(p, depth, record_divergence)
+            top: dict = {}
+            stack = [(p, depth, top, None)]
+            while stack:
+                p, left, siblings, label = stack.pop()
+                try:
+                    labels = tuple(sorted(self.properties(p)))
+                except DivergenceError as exc:
+                    if not record_divergence:
+                        raise
+                    siblings[label] = ObservationTree(p, (), {}, exc.kind)
+                    continue
+                children: dict = {}
+                siblings[label] = ObservationTree(p, labels, children, None)
+                if left > 0:
+                    for child in reversed(labels):
+                        stack.append((p + (child,), left - 1, children, child))
+            return top[None]
         finally:
-            gc.enable()
-
-    def _observe(
-        self, p: Path, depth: int, record_divergence: bool
-    ) -> "ObservationTree":
-        # Each node goes through the public ``properties``, so a wrapper
-        # around that method sees every node and every divergence.
-        try:
-            labels = tuple(sorted(self.properties(p)))
-        except DivergenceError as exc:
-            if not record_divergence:
-                raise
-            return ObservationTree(p, (), {}, exc.kind)
-        children = {}
-        if depth > 0:
-            for label in labels:
-                children[label] = self._observe(
-                    p + (label,), depth - 1, record_divergence
-                )
-        return ObservationTree(p, labels, children, None)
+            if enabled:
+                gc.enable()
 
 
 @dataclass(slots=True)
 class ObservationTree:
-    """Finite-depth tree of properties; the canonical observable output."""
+    """Finite-depth tree of properties; the canonical observable output.  Its
+    printers read one explicit-stack walk, ``_preorder``, so a tree of any depth
+    prints; only ``json``, under ``to_json``, recurses: two dicts per level."""
 
     path: Path
     labels: tuple[str, ...]
     children: dict[str, "ObservationTree"] = field(default_factory=dict)
     divergence: str | None = None
 
+    def _preorder(self):
+        """(node, depth below this one, its label or None here) for each
+        node, each before its children, children in label order."""
+        stack = [(self, 0, None)]
+        while stack:
+            node, level, label = stack.pop()
+            yield node, level, label
+            kids = node.children
+            for child in sorted(kids, reverse=True):
+                stack.append((kids[child], level + 1, child))
+
     def lines(self) -> list[str]:
         """Canonical text form: one ``path<TAB>labels`` line per node."""
-        if self.divergence is not None:
-            own = f"{path_text(self.path)}\t!{self.divergence}"
-        else:
-            own = f"{path_text(self.path)}\t{','.join(self.labels)}"
-        out = [own]
-        for label in sorted(self.children):
-            out.extend(self.children[label].lines())
-        return out
+        return [
+            f"{path_text(n.path)}\t"
+            + (",".join(n.labels) if n.divergence is None else f"!{n.divergence}")
+            for n, _, _ in self._preorder()
+        ]
 
     def text(self) -> str:
         return "\n".join(self.lines())
 
-    def structure(self):
-        """Path-independent shape: labels plus child structures, for
-        comparing observations rooted at different absolute paths."""
-        return (
-            self.divergence,
-            self.labels,
-            tuple(
-                (label, self.children[label].structure())
-                for label in sorted(self.children)
-            ),
-        )
+    def structure(self) -> tuple:
+        """Path-independent shape, for comparing observations rooted at
+        different absolute paths: one (depth, label, divergence, labels)
+        entry per node in preorder, the root's label None."""
+        return tuple((level, label, n.divergence, n.labels) for n, level, label in self._preorder())
 
     def to_json(self) -> str:
-        def conv(node: "ObservationTree"):
-            return {
-                "path": path_text(node.path),
-                "labels": list(node.labels),
-                "divergence": node.divergence,
-                "children": {
-                    label: conv(child)
-                    for label, child in sorted(node.children.items())
-                },
-            }
-
-        return json.dumps(conv(self), indent=2, sort_keys=True)
-
+        spine: list[dict] = [{"children": {}}]  # a holder, then the last dict per depth
+        for node, level, label in self._preorder():
+            out = {"path": path_text(node.path), "labels": list(node.labels),
+                   "divergence": node.divergence, "children": {}}
+            del spine[level + 1 :]
+            spine[-1]["children"][label] = out
+            spine.append(out)
+        return json.dumps(spine[1], indent=2, sort_keys=True)

@@ -1,9 +1,11 @@
 import hashlib
+import inspect
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from inhcalc import cli, lam
 from inhcalc import corpus as corpus_mod
 from inhcalc.cli import main
 from inhcalc.fixtures import FIXTURE_NAMES
@@ -99,6 +101,18 @@ def test_query_too_deep_nest_is_resource_limit(runner, tmp_path):
     _assert_resource_limit(result)
 
 
+def test_query_tree_of_any_depth_prints(runner, tmp_path):
+    # observe and the text printer walk the tree on explicit stacks; the
+    # json encoder recurses, two dicts per tree level
+    path = tmp_path / "self.inh"
+    path.write_text("{A = {next = A}}")
+    args = ["query", str(path), "--path", "A", "--op", "tree", "--depth", "2000"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert len(result.output.splitlines()) == 2_001
+    _assert_resource_limit(runner.invoke(main, args + ["--format", "json"]))
+
+
 def test_check(runner, program_file):
     result = runner.invoke(main, ["check", program_file])
     assert result.exit_code == 0
@@ -186,6 +200,29 @@ def test_lambda_bohm(runner):
     result = runner.invoke(main, ["lambda", "bohm", r"\t. \f. t", "--depth", "1"])
     assert result.exit_code == 0
     assert result.output == "λ^2. 1\n"
+
+
+def test_lambda_bohm_takes_a_deep_binder_nest(runner):
+    # a binder costs named_to_oracle no stack frame
+    nest = "".join(f"\\x{i}. " for i in range(10_000)) + "x0"
+    result = runner.invoke(main, ["lambda", "bohm", nest])
+    assert result.exit_code == 0
+    assert result.output == "λ^10000. 9999\n"
+
+
+def test_lambda_bohm_budget_defaults_to_the_oracle_s(runner, monkeypatch):
+    # --fuel counts the oracle's beta-steps, not the evaluator's memo misses
+    budgets = []
+
+    def recorded(t, depth, fuel):
+        budgets.append(fuel)
+        return lam.bohm_prefix(t, depth, fuel)
+
+    monkeypatch.setattr(cli, "bohm_prefix", recorded)
+    result = runner.invoke(main, ["lambda", "bohm", r"\x. x"])
+    assert result.exit_code == 0
+    assert budgets == [inspect.signature(lam.bohm_prefix).parameters["fuel"].default]
+    assert budgets == [inspect.signature(lam.head_reduce).parameters["fuel"].default]
 
 
 def test_lambda_parse_error(runner):

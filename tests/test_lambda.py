@@ -635,6 +635,72 @@ def test_named_to_oracle_reads_the_innermost_binder():
     assert str(info.value) == "unbound variable 'z'"
 
 
+def _reference_named_to_oracle(t, env=()):
+    """named_to_oracle as plain recursion, one frame per term node."""
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise FreeVariableError(f"unbound variable {t.name!r}")
+        return ("var", env.index(t.name))
+    if isinstance(t, Abs):
+        return ("abs", _reference_named_to_oracle(t.body, (t.param,) + env))
+    if isinstance(t, App):
+        return ("app", _reference_named_to_oracle(t.fun, env), _reference_named_to_oracle(t.arg, env))
+    body = _reference_named_to_oracle(t.body, (t.name,) + env)
+    return ("app", ("abs", body), _reference_named_to_oracle(t.rhs, env))
+
+
+def _conversion(convert, t):
+    try:
+        return convert(t)
+    except FreeVariableError as exc:
+        return str(exc)
+
+
+_TERM_NAMES = st.sampled_from(["x", "y", "z"])
+_NAMED_TERMS = st.recursive(
+    _TERM_NAMES.map(Var),
+    lambda inner: st.one_of(
+        st.builds(Abs, _TERM_NAMES, inner),
+        st.builds(App, inner, inner),
+        st.builds(Let, _TERM_NAMES, inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_NAMED_TERMS)
+def test_named_to_oracle_matches_the_recursion(t):
+    # open terms too: the first unbound variable met is the recursion's
+    assert _conversion(named_to_oracle, t) == _conversion(_reference_named_to_oracle, t)
+
+
+def test_named_to_oracle_matches_the_recursion_on_the_corpus():
+    for name, anf in corpus_terms(7):
+        assert named_to_oracle(anf) == _reference_named_to_oracle(anf), name
+
+
+def test_named_to_oracle_takes_deep_nests_of_lambdas_and_lets():
+    # a run of binders, λs and lets alike, costs named_to_oracle no frame
+    assert sys.getrecursionlimit() <= 1000
+    n = 10_000
+    t = named_to_oracle(_binder_nest(n))
+    for _ in range(n):
+        tag, t = t
+        assert tag == "abs"
+    assert t == ("var", n - 1)
+    n = 5_000  # and 10,000 binders again, a let after each λ
+    nest = App(Var("y0"), Var(f"x{n - 1}"))
+    for i in reversed(range(n)):
+        nest = Abs(f"x{i}", Let(f"y{i}", App(Var(f"x{i}"), Var(f"x{i}")), nest))
+    t = named_to_oracle(nest)
+    for i in range(n):
+        # \x<i>. (\y<i>. ...) (x<i> x<i>)
+        tag, (app, (abs_, t), rhs) = t
+        assert (tag, app, abs_, rhs) == ("abs", "app", "abs", ("app", ("var", 0), ("var", 0)))
+    assert t == ("app", ("var", 2 * n - 2), ("var", 1))
+
+
 def test_oracle_to_named_names_levels_past_its_name_table():
     # 80 binders: the first 64 names are read from a table, the rest
     # formatted, all as v<level>

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,11 @@ from inhcalc.semantics import (
     DEFAULT_FUEL,
     DivergenceError,
     EvalContext,
+    ObservationTree,
     ScopeUnderflowError,
     SinglePathViolation,
 )
-from inhcalc.syntax import parse, parse_program
+from inhcalc.syntax import parse, parse_program, path_text
 
 P1 = "{A = {x = {}}, B = {A, x = {y = {}}}}"
 P2 = "{Outer = {Inner = {r = this@Outer}}, Obj = {Outer}}"
@@ -361,6 +363,162 @@ def test_observe_records_divergence():
     assert "a\t!Cycle" in tree.text()
 
 
+def test_observe_structure_tells_apart_one_label_or_one_divergence():
+    # A.x and C.x differ in one label below them; b and c in one
+    # divergence, Cycle against no labels
+    ctx = EvalContext(parse_program("{A = {x = {y = {}}}, C = {x = {z = {}}}}"))
+    assert ctx.observe(("A",), 2).structure() != ctx.observe(("C",), 2).structure()
+    ctx = EvalContext(parse_program("{b = {a = {a.b}}, c = {a = {}}}"))
+    b, c = (ctx.observe((r,), 1, record_divergence=True) for r in "bc")
+    assert b.children["a"].divergence == "Cycle" and c.children["a"].divergence is None
+    assert b.structure() != c.structure()
+    # the same labels in preorder, b a sibling of a or a's child
+    b_leaf = ObservationTree(("b",), (), {}, None)
+    a_leaf = ObservationTree(("a",), ("b",), {}, None)
+    siblings = ObservationTree((), ("a", "b"), {"a": a_leaf, "b": b_leaf}, None)
+    a_node = ObservationTree(("a",), ("b",), {"b": b_leaf}, None)
+    nested = ObservationTree((), ("a", "b"), {"a": a_node}, None)
+    assert siblings.structure() != nested.structure()
+
+
+def test_printers_read_children_in_label_order():
+    # children added out of label order print in label order
+    leaf = {label: ObservationTree((label,), (), {}, None) for label in "ab"}
+    tree = ObservationTree((), ("a", "b"), {"b": leaf["b"], "a": leaf["a"]}, None)
+    assert tree.lines() == _reference_lines(tree) == ["()\ta,b", "a\t", "b\t"]
+    assert tree.to_json() == _reference_json(tree)
+    assert [label for _, label, _, _ in tree.structure()] == [None, "a", "b"]
+
+
+# The recursive walks that observe, lines and to_json were before they
+# read one explicit stack: the reference of the differential tests below.
+
+def _reference_observe(ctx, p, depth, record_divergence):
+    try:
+        labels = tuple(sorted(ctx.properties(p)))
+    except DivergenceError as exc:
+        if not record_divergence:
+            raise
+        return ObservationTree(p, (), {}, exc.kind)
+    children = {}
+    if depth > 0:
+        for label in labels:
+            children[label] = _reference_observe(ctx, p + (label,), depth - 1, record_divergence)
+    return ObservationTree(p, labels, children, None)
+
+
+def _reference_lines(tree):
+    if tree.divergence is not None:
+        own = f"{path_text(tree.path)}\t!{tree.divergence}"
+    else:
+        own = f"{path_text(tree.path)}\t{','.join(tree.labels)}"
+    out = [own]
+    for label in sorted(tree.children):
+        out.extend(_reference_lines(tree.children[label]))
+    return out
+
+
+def _reference_json(tree):
+    def conv(node):
+        return {
+            "path": path_text(node.path),
+            "labels": list(node.labels),
+            "divergence": node.divergence,
+            "children": {label: conv(child) for label, child in sorted(node.children.items())},
+        }
+
+    return json.dumps(conv(tree), indent=2, sort_keys=True)
+
+
+def _reference_structure(tree):
+    return (
+        tree.divergence,
+        tree.labels,
+        tuple((label, _reference_structure(tree.children[label])) for label in sorted(tree.children)),
+    )
+
+
+def _observation(prog, fuel, walk):
+    """What ``walk(ctx)`` prints, or the error it raises, with the fuel
+    left and every path it asked ``properties`` for, in order."""
+    ctx = EvalContext(prog, fuel=fuel)
+    asked, properties = [], ctx.properties
+
+    def recorded(p):
+        asked.append(p)
+        return properties(p)
+
+    ctx.properties = recorded
+    try:
+        out = walk(ctx)
+    except DivergenceError as exc:
+        out = (DivergenceError, exc.kind, exc.witness)
+    except ScopeUnderflowError as exc:
+        out = (ScopeUnderflowError, str(exc))
+    return out, ctx.fuel, asked
+
+
+def _both_observations(prog, p, depth, record_divergence, fuel):
+    def loop(ctx):
+        tree = ctx.observe(p, depth, record_divergence)
+        return tree.text(), tree.to_json()
+
+    def recursion(ctx):
+        tree = _reference_observe(ctx, p, depth, record_divergence)
+        return "\n".join(_reference_lines(tree)), _reference_json(tree)
+
+    return _observation(prog, fuel, loop), _observation(prog, fuel, recursion)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_observe_and_its_printers_match_the_recursive_walk(name):
+    # at every depth up to 4, recording divergences or raising them, and
+    # at budgets that stop the walk inside the tree
+    prog = fixture(name).program()
+    stops = 0
+    for depth in range(5):
+        for record_divergence in (False, True):
+            for fuel in (DEFAULT_FUEL, 0, 3, 11, 30, 90, 250, 700):
+                new, old = _both_observations(prog, (), depth, record_divergence, fuel)
+                assert new == old, (depth, record_divergence, fuel)
+                stops += new[0][0] is DivergenceError and new[0][1] == "FuelExhausted"
+    assert stops
+
+
+def test_structure_compares_equal_exactly_when_the_nested_form_did():
+    # every subtree of every fixture's depth-4 tree, and of a few roots'
+    trees = []
+    for name in FIXTURE_NAMES:
+        ctx = EvalContext(fixture(name).program())
+        for p in [()] + sorted(fixture(name).program().paths())[:20]:
+            work = [ctx.observe(p, 4, record_divergence=True)]
+            while work:
+                tree = work.pop()
+                trees.append(tree)
+                work.extend(tree.children.values())
+    pairs = {(tree.structure(), _reference_structure(tree)) for tree in trees}
+    assert len({new for new, _ in pairs}) == len({old for _, old in pairs}) == len(pairs)
+    assert len(pairs) > 50
+
+
+def test_observe_and_its_printers_take_a_tree_of_any_depth():
+    # {A = {next = A}} has a tree of unbounded depth; the walk and the text
+    # and shape printers spend no stack frame per level, and only the json
+    # encoder recurses, two dicts per level
+    assert sys.getrecursionlimit() <= 1000
+    prog = parse_program("{A = {next = A}}")
+    tree = EvalContext(prog).observe(("A",), 5000)
+    lines = tree.lines()
+    assert len(lines) == len(tree.structure()) == 5001
+    assert lines[-1] == "A" + ".next" * 5000 + "\tnext"
+    data = json.loads(EvalContext(prog).observe(("A",), 400).to_json())
+    nodes = 0
+    while data is not None:
+        nodes += 1
+        data = data["children"].get("next")
+    assert nodes == 401
+
+
 def test_determinism_across_contexts():
     prog = parse_program(P2)
     queries = [(), ("Obj",), ("Obj", "Inner"), ("Obj", "Inner", "r")]
@@ -511,3 +669,12 @@ def test_observe_asks_each_node_through_the_public_properties(monkeypatch, name,
     assert len(calls) == len(set(calls)) == len(tree.lines()) == nodes
     expected = [(("a",), "Cycle")] if name == "cyclic_a" else []
     assert divergences == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_program_texts(), st.integers(0, 4), st.booleans(), st.sampled_from([DEFAULT_FUEL, 4, 15, 40]))
+def test_observe_matches_the_recursive_walk_on_generated_programs(src, depth, record, fuel):
+    prog = parse_program(src)
+    for p in [()] + sorted(prog.paths())[:3]:
+        new, old = _both_observations(prog, p, depth, record, fuel)
+        assert new == old, p
