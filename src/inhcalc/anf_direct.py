@@ -15,7 +15,9 @@ back to paths by ``syntax.trie_path``, under its ``equation`` kernel
 (memo tables, in-flight cycle markers, fuel); ``callee*`` is the
 kernel's ``closure`` body over ``callee``, as ``bases*`` is over
 ``bases``.  Only ``labels`` is public; it takes a path, and a
-divergence's witness is the query as asked, on paths.
+divergence's witness is the query as asked, on paths.  No equation asks
+``labels``, so, like ``properties``, it keeps no memo table: each query
+runs its body and spends one unit of fuel.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class DirectContext(InternedContext):
     def labels(self, p: Path) -> frozenset[str]:
         return self._labels(self._intern(p))
 
-    @equation("labels")
+    @equation("labels", table=False)
     def _labels(self, p: int) -> frozenset[str]:
         node = self._node
         out = set()

@@ -63,7 +63,7 @@ def _load_program(file: str):
         _fail_input(f"{file}: {exc}")
 
 
-def fuel_option(default: int = DEFAULT_FUEL, unit: str = "the evaluator's memo misses"):
+def fuel_option(default: int = DEFAULT_FUEL, unit: str = "the evaluator's equation body runs"):
     return click.option("--fuel", type=click.IntRange(min=1), default=default,
                         envvar="INHCALC_FUEL", show_default=True, help=f"Step budget, in {unit}.")
 
@@ -236,7 +236,7 @@ def fixtures_run(name, fuel):
 @click.option("--size", type=click.IntRange(min=1, max=corpus_mod.MAX_CORPUS_SIZE),
               default=corpus_mod.MAX_CORPUS_SIZE, show_default=True,
               help="Maximum AST size of enumerated closed terms.")
-@fuel_option(10_000, "the oracle's beta-steps and each engine's memo misses, per term")
+@fuel_option(10_000, "the oracle's beta-steps and each engine's equation body runs, per term")
 @max_depth_option
 def corpus(size, fuel, max_depth):
     """Sweep the small-term corpus against the oracle; print verdicts.

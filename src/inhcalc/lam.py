@@ -527,36 +527,51 @@ ORACLE_FUEL = 10_000  # the oracle's budget: beta-steps per head reduction
 
 
 def named_to_oracle(t: Term, env: tuple[str, ...] = ()) -> OTerm:
-    """Convert a named term to an oracle de Bruijn term.  Let-bindings are
-    expanded as beta-redexes: let x = M in N == (\\x. N) M.  A run of λs and
-    lets takes one loop: ``run`` is a cons list of them, None for a λ and
-    (right side, env) for a let, closed once the innermost body is converted."""
+    """Convert a named term to an oracle de Bruijn term, under the binders
+    ``env``, innermost first.  Let-bindings are expanded as beta-redexes:
+    let x = M in N == (\\x. N) M."""
+    # an inner binder's level overwrites an outer one's
+    levels = dict(zip(reversed(env), range(len(env)))) if env else {}
+    return _to_oracle(t, levels, len(env))
+
+
+def _to_oracle(t: Term, levels: dict, depth: int) -> OTerm:
+    """``named_to_oracle`` under ``depth`` binders, where ``levels`` maps each
+    bound name to the level of its innermost binder (the outermost is 0).
+    A run of λs and lets takes one loop: each binder sets its name's level
+    and pushes (name, level it shadows, right side or None for a λ) on
+    ``run``, a cons list; once the innermost body is converted, the run
+    closes inside out, and each binder's undo restores the map a let's
+    right side is converted under.  An unbound name's level is None.  A
+    binder costs O(1), and so does a variable."""
     run = None
     while True:
         if isinstance(t, Var):
             (var,) = t
-            try:
-                # env is innermost first, so the first match is the binder
-                out = ("var", env.index(var))
-            except ValueError:
-                raise FreeVariableError(f"unbound variable {var!r}") from None
+            level = levels.get(var)
+            if level is None:
+                raise FreeVariableError(f"unbound variable {var!r}")
+            out = ("var", depth - 1 - level)
             break
         if isinstance(t, App):
             fun, arg = t
-            out = ("app", named_to_oracle(fun, env), named_to_oracle(arg, env))
+            out = ("app", _to_oracle(fun, levels, depth), _to_oracle(arg, levels, depth))
             break
         if isinstance(t, Abs):
             name, t = t
-            run = (None, run)
+            rhs = None
         elif isinstance(t, Let):
             name, rhs, t = t
-            run = ((rhs, env), run)
         else:
             raise TypeError(t)
-        env = (name,) + env
+        run = (name, levels.get(name), rhs, run)
+        levels[name] = depth
+        depth += 1
     while run is not None:
-        binding, run = run
-        out = ("abs", out) if binding is None else ("app", ("abs", out), named_to_oracle(*binding))
+        name, shadowed, rhs, run = run
+        depth -= 1
+        levels[name] = shadowed
+        out = ("abs", out) if rhs is None else ("app", ("abs", out), _to_oracle(rhs, levels, depth))
     return out
 
 

@@ -6,12 +6,15 @@ closure of ``bases``) over a CoreProgram by unfolding the mutually
 recursive equations on demand.  The equations run on integer path ids:
 a context adopts the program's (parent, label) trie and interns each
 further path it meets once, and its public methods take and return
-paths.  Results are memoized per query key; a query key that re-enters
-its own in-flight evaluation reports ``Divergence(Cycle)``, and a global
-fuel budget bounds infinite acyclic unfoldings with
-``Divergence(FuelExhausted)``.  The equations recurse on the Python
-stack; ``EvalContext.observe`` and the printers of its tree walk the
-observation tree on explicit stacks.
+paths.  Each run of an equation's body spends one unit of a global fuel
+budget, which bounds infinite acyclic unfoldings with
+``Divergence(FuelExhausted)``.  The equations whose answers are read
+again (``supers``, ``overrides``, ``bases`` and ``this``) are memoized
+per query key, and a key that re-enters its own in-flight evaluation
+reports ``Divergence(Cycle)``; ``properties``, ``bases*`` and
+``resolve`` keep no table (see ``equation``).  The equations recurse on
+the Python stack; ``EvalContext.observe`` and the printers of its tree
+walk the observation tree on explicit stacks.
 
 An evaluation builds no reference cycle, so reference counting alone
 frees it, also when an error escapes.  ``EvalContext.observe`` therefore
@@ -82,19 +85,39 @@ class SinglePathViolation:
 _MISS = object()  # what a memo probe returns for a key it lacks
 
 
-def equation(tag: str):
-    """Make a method one memoized equation of a demand-driven evaluator.
+def equation(tag: str, table: bool = True):
+    """Make a method one equation of a demand-driven evaluator, memoized
+    unless ``table`` is false.
 
     Every equation takes one hashable key per query: its only argument, or
     the tuple of its arguments, which the body unpacks.  The instance keeps
     ``fuel`` and ``memo``, a ``defaultdict(dict)`` that holds one table per
-    equation, keyed by that key, and a query probes its table once.  A miss
-    spends one unit of fuel.  While the body runs, its entry holds
-    ``None``, so re-entering the same query raises ``Divergence(Cycle)``,
-    even with no fuel left; results are never ``None``.  A body that
-    raises leaves no entry, so a re-query reaches the same verdict.  A
-    divergence's witness is what the instance's ``_witness(tag, key)``
-    makes of the query; the kernel calls it only to raise.
+    memoized equation, keyed by that key, and a query probes its table
+    once.  Each run of an equation's body spends one unit of fuel, and a
+    run with no fuel left raises ``Divergence(FuelExhausted)`` before it
+    starts; a memo hit runs no body.  While a memoized body runs, its entry
+    holds ``None``, so re-entering the same query raises
+    ``Divergence(Cycle)``, even with no fuel left; results are never
+    ``None``.  A body that raises leaves no entry, so a re-query reaches
+    the same verdict.  A divergence's witness is what the instance's
+    ``_witness(tag, key)`` makes of the query; the kernel calls it only to
+    raise.
+
+    An equation keeps a table only where an answer is read again or a
+    cycle can pass through it.  ``properties`` and the direct engine's
+    ``labels`` are asked only by public callers, never by an equation, so
+    no cycle passes through them.  ``bases*(p)`` is asked only by
+    ``supers(p)``, and ``resolve(k)`` only by ``bases(p)``, where p is the
+    child of ``k[0]`` that carries the label of the override ``k[1]``,
+    each key at most once per run of its caller.  So under a query of
+    that caller, a re-entry of such a key first re-enters the memoized
+    caller, which is still in flight and raises the same ``Cycle`` at the
+    same key.  These four keep no table, and three things differ from a
+    table: a second public query of the same key runs the body again and
+    spends one more unit; a public ``bases*`` or ``resolve`` query, with
+    no caller in flight, reports a cycle at the first memoized key it
+    re-enters; and after an error escapes a caller, asking the caller
+    again runs its table-less callee again.
 
     A call site whose query is usually answered already reads the table
     first, ``self.memo[tag].get(key) or self._eq(key)``, so a completed,
@@ -109,15 +132,18 @@ def equation(tag: str):
 
     def decorate(body):
         def run(self, key):
-            memo = self.memo[tag]
-            value = memo.get(key, _MISS)
-            if value is None:
-                raise DivergenceError("Cycle", self._witness(tag, key))
-            if value is not _MISS:
-                return value
+            if table:
+                memo = self.memo[tag]
+                value = memo.get(key, _MISS)
+                if value is None:
+                    raise DivergenceError("Cycle", self._witness(tag, key))
+                if value is not _MISS:
+                    return value
             if self.fuel <= 0:
                 raise DivergenceError("FuelExhausted", self._witness(tag, key))
             self.fuel -= 1
+            if not table:
+                return body(self, key)
             memo[key] = None
             try:
                 value = body(self, key)
@@ -250,7 +276,7 @@ class EvalContext(InternedContext):
 
     # -- the equations, on path ids -----------------------------------------
 
-    @equation("properties")
+    @equation("properties", table=False)
     def _properties(self, p: int) -> frozenset[str]:
         node = self._node
         out = set()
@@ -270,7 +296,7 @@ class EvalContext(InternedContext):
             out.append((parent[b], done.get(b) or self._overrides(b)))
         return tuple(out)
 
-    _bases_star = equation("bases*")(closure("_bases"))
+    _bases_star = equation("bases*", table=False)(closure("_bases"))
 
     @equation("overrides")
     def _overrides(self, p: int) -> frozenset[int]:
@@ -297,7 +323,7 @@ class EvalContext(InternedContext):
                 out |= self._resolve((self._parent[p], p_override, n, downs))
         return frozenset(out)
 
-    @equation("resolve")
+    @equation("resolve", table=False)
     def _resolve(self, key: tuple) -> frozenset[int]:
         p_site, p_def, n, downs = key
         if p_def == 0:

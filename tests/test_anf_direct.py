@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from inhcalc.anf_direct import (
     extract,
 )
 from inhcalc.corpus import corpus_terms
-from inhcalc.fixtures import fixture
+from inhcalc.fixtures import FIXTURE_NAMES, fixture
 from inhcalc.lam import (
     DEFAULT_MAX_DEPTH,
     NAMED_TERMS,
@@ -44,6 +45,10 @@ from inhcalc.syntax import Reference, parse_program, render, resolve_references
 # of corpus_terms(8), scanned by the direct engine at fuel 10,000
 DIRECT_CORPUS_8_FUEL_SHA256 = (
     "6eec7473d1f9139d387e351d079d40805d5b63065aaed8d05e847502cbc1283c"
+)
+# the same, scanned by the general engine's properties
+GENERAL_CORPUS_8_FUEL_SHA256 = (
+    "73581ef250992955c6773e95aa4e28b9f17ceba4d2d2a55f1b4ec211bf8964d2"
 )
 
 # ---------------------------------------------------------------------------
@@ -157,20 +162,28 @@ def test_direct_agrees_with_general_on_sample():
         assert (a.converged, a.depth) == (b.converged, b.depth)
 
 
-def test_direct_fuel_pinned_on_corpus():
-    # Fuel left is the count of distinct queries a scan asked, so it
-    # changes with any change to what the equations ask, and it must not
-    # change with the hash seed.
+@pytest.mark.parametrize(
+    "engine, method, pinned",
+    [
+        (DirectContext, "labels", DIRECT_CORPUS_8_FUEL_SHA256),
+        (EvalContext, "properties", GENERAL_CORPUS_8_FUEL_SHA256),
+    ],
+    ids=["direct", "general"],
+)
+def test_direct_fuel_pinned_on_corpus(engine, method, pinned):
+    # Fuel left is the count of equation bodies a scan ran, so it changes
+    # with any change to what the equations ask, and it must not change
+    # with the hash seed.
     rows = []
     for name, anf in corpus_terms(8):
-        ctx = DirectContext(extract(anf), fuel=10_000)
-        report = _scan_result_chain(ctx.labels, DEFAULT_MAX_DEPTH)
+        ctx = engine(extract(anf), fuel=10_000)
+        report = _scan_result_chain(getattr(ctx, method), DEFAULT_MAX_DEPTH)
         rows.append(
             f"{name}\t{report.converged}\t{report.depth}\t{report.reason}\t{ctx.fuel}"
         )
     assert len(rows) == 718
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert digest == DIRECT_CORPUS_8_FUEL_SHA256
+    assert digest == pinned
 
 
 def identity_chain(k: int) -> str:
@@ -216,6 +229,68 @@ def test_scan_miss_order_is_pinned():
     assert len(rows) == 3216
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == SCAN_MISS_ORDER_SHA256
+
+
+# The equations that keep no memo table, per engine.
+_TABLELESS = {
+    EvalContext: ("_properties", "_bases_star", "_resolve"),
+    DirectContext: ("_labels",),
+}
+
+
+def _counting(engine):
+    """A subclass of ``engine`` that counts, in ``asked``, the (method,
+    key) pairs its table-less equations are asked."""
+
+    def counted(name):
+        inner = getattr(engine, name)
+
+        def method(self, key):
+            self.asked[name, key] += 1
+            return inner(self, key)
+
+        return method
+
+    def __init__(self, *args, **kwargs):
+        engine.__init__(self, *args, **kwargs)
+        self.asked = Counter()
+
+    methods = {name: counted(name) for name in _TABLELESS[engine]}
+    return type(f"Counting{engine.__name__}", (engine,), {"__init__": __init__, **methods})
+
+
+def test_no_key_of_a_tableless_equation_is_asked_twice():
+    # A table-less equation spends a unit of fuel per call, so the fuel
+    # pins hold only while no context asks one of its keys again: each
+    # is asked once per run of its memoized caller, or once per public
+    # query, and observe and the scans ask each path once.
+    general, direct = _counting(EvalContext), _counting(DirectContext)
+    contexts = []
+    for name in FIXTURE_NAMES:
+        ctx = general(fixture(name).program())
+        ctx.observe((), 4, record_divergence=True)
+        contexts.append(ctx)
+    chain = translate(anf_transform(parse_lambda(identity_chain(120))))
+    scans = [(extract(anf), 10_000, DEFAULT_MAX_DEPTH) for _, anf in corpus_terms(8)]
+    for prog, fuel, max_depth in scans + [(chain, DEFAULT_FUEL, 121)]:
+        for engine, method in ((general, "properties"), (direct, "labels")):
+            ctx = engine(prog, fuel=fuel)
+            _scan_result_chain(getattr(ctx, method), max_depth)
+            contexts.append(ctx)
+    seen = set()
+    for ctx in contexts:
+        assert max(ctx.asked.values()) == 1
+        seen.update(name for name, _ in ctx.asked)
+    assert seen == {"_properties", "_bases_star", "_resolve", "_labels"}
+
+
+def test_a_second_labels_query_spends_one_more_unit():
+    ctx = DirectContext(extract(anf_transform(parse_lambda(identity_chain(3)))))
+    path = ("result",) * 3
+    first = ctx.labels(path)
+    left = ctx.fuel
+    assert ctx.labels(path) == first == {"argument", "result"}
+    assert left - ctx.fuel == 1
 
 
 @pytest.mark.parametrize("k", [120, 240])

@@ -211,7 +211,7 @@ def test_lambda_bohm_takes_a_deep_binder_nest(runner):
 
 
 def test_lambda_bohm_budget_defaults_to_the_oracle_s(runner, monkeypatch):
-    # --fuel counts the oracle's beta-steps, not the evaluator's memo misses
+    # --fuel counts the oracle's beta-steps, not the evaluator's equation body runs
     budgets = []
 
     def recorded(t, depth, fuel):

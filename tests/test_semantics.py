@@ -151,13 +151,39 @@ def test_a_reentered_query_is_a_cycle_before_the_fuel_runs_out():
     )
 
 
+def test_a_second_properties_query_spends_one_more_unit():
+    # properties keeps no table: asking it again runs its body again,
+    # whose supers query is a memo hit.
+    ctx = EvalContext(fixture("nat").program())
+    path = ("CartesianTest", "Five", "Plus")
+    first = ctx.properties(path)
+    left = ctx.fuel
+    assert ctx.properties(path) == first == {
+        "_increasedAddend", "_recursiveAddition", "addend", "sum"
+    }
+    assert left - ctx.fuel == 1
+
+
+def test_a_cycle_through_bases_star_is_reported_at_bases():
+    # bases* keeps no table.  Its closure from a reaches bases(a.b),
+    # whose overrides ask supers(a), which runs bases*(a) anew; that
+    # closure reads the completed bases(a) and re-enters the in-flight
+    # bases(a.b).  A memoized bases*(a) was itself the re-entered query,
+    # one unit of fuel sooner, after 12.
+    ctx = EvalContext(fixture("cyclic_a").program())
+    with pytest.raises(DivergenceError) as exc:
+        ctx.bases_star(("a",))
+    assert (exc.value.kind, exc.value.witness) == ("Cycle", ("bases", ("a", "b")))
+    assert DEFAULT_FUEL - ctx.fuel == 13
+
+
 def test_sibling_mutual_inheritance_terminates():
     ctx = EvalContext(parse_program("{a = {b, x = {}}, b = {a, y = {}}}"))
     assert ctx.properties(("a",)) == {"x", "y"}
     assert ctx.bases_star(("a",)) == {("a",), ("b",)}
 
 
-# Fuel spent by observe((), 4): exactly one unit per memo miss.
+# Fuel spent by observe((), 4): exactly one unit per equation body run.
 _OBSERVE_FUEL = {
     "p1": 32,
     "p2": 53,
