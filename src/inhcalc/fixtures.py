@@ -24,8 +24,8 @@ and ``origin`` records how the expected value was obtained: ``pinned``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .semantics import DEFAULT_FUEL, DivergenceError, EvalContext
 from .syntax import CoreProgram, parse_path, parse_program, path_text
@@ -48,8 +48,7 @@ class UnknownFixture(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):
     op: str
     args: tuple[str, ...]
     expected: str
@@ -59,8 +58,7 @@ class Expectation:
         return "\t".join((self.op, *self.args, self.expected, self.origin))
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     source: str
     expectations: tuple[Expectation, ...]
@@ -110,8 +108,7 @@ def fixture(name: str) -> Fixture:
 # Expectation evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpectationResult:
+class ExpectationResult(NamedTuple):
     expectation: Expectation
     passed: bool
     actual: str

@@ -19,8 +19,8 @@ let-names in its one pass, and ``anf_transform`` checks nothing.
 Terms (``Var``, ``Abs``, ``App``, ``Let``), the reports ``ConvergenceReport``
 and ``HeadResult``, and the Böhm nodes are immutable named tuples, like
 ``syntax.Node``: equal values compare and hash equal, and a field cannot
-be set.  Unlike the frozen dataclasses they were, a value also equals the
-plain tuple of its fields: ``Var("x") == ("x",)`` is True.  The hot paths
+be set.  As every named tuple does, a value also equals the plain tuple
+of its fields: ``Var("x") == ("x",)`` is True.  The hot paths
 (``parse_lambda``, ``oracle_to_named``, ``anf_transform``, ``translate``'s
 ``Node``s and the two reports) build them with ``_new(Cls, fields)``: the
 body of the generated constructor without its Python frame, at about half
@@ -526,13 +526,11 @@ OTerm = tuple
 ORACLE_FUEL = 10_000  # the oracle's budget: beta-steps per head reduction
 
 
-def named_to_oracle(t: Term, env: tuple[str, ...] = ()) -> OTerm:
-    """Convert a named term to an oracle de Bruijn term, under the binders
-    ``env``, innermost first.  Let-bindings are expanded as beta-redexes:
-    let x = M in N == (\\x. N) M."""
-    # an inner binder's level overwrites an outer one's
-    levels = dict(zip(reversed(env), range(len(env)))) if env else {}
-    return _to_oracle(t, levels, len(env))
+def named_to_oracle(t: Term) -> OTerm:
+    """Convert a closed named term to an oracle de Bruijn term, or raise
+    ``FreeVariableError`` at the first free variable met.  Let-bindings are
+    expanded as beta-redexes: let x = M in N == (\\x. N) M."""
+    return _to_oracle(t, {}, 0)
 
 
 def _to_oracle(t: Term, levels: dict, depth: int) -> OTerm:

@@ -31,7 +31,7 @@ import functools
 import gc
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .syntax import CoreProgram, Node, Path, path_text, trie_path
 
@@ -75,8 +75,7 @@ class ScopeUnderflowError(Exception):
     """A reference's scope count exceeds the available scope depth."""
 
 
-@dataclass
-class SinglePathViolation:
+class SinglePathViolation(NamedTuple):
     frontier: frozenset
     p_def: Path
     n: int
@@ -402,7 +401,9 @@ class EvalContext(InternedContext):
         stack of (path, depth left, parent's children, label), pushing
         children in reverse label order: it asks in preorder and spends no
         frame per level.  Each node goes through the public ``properties``,
-        so a wrapper around it sees every node and every divergence."""
+        so a wrapper around it sees every node and every divergence; each
+        is built with ``tuple.__new__``, without the constructor's frame."""
+        new, tree = tuple.__new__, ObservationTree
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -415,10 +416,10 @@ class EvalContext(InternedContext):
                 except DivergenceError as exc:
                     if not record_divergence:
                         raise
-                    siblings[label] = ObservationTree(p, (), {}, exc.kind)
+                    siblings[label] = new(tree, (p, (), {}, exc.kind))
                     continue
                 children: dict = {}
-                siblings[label] = ObservationTree(p, labels, children, None)
+                siblings[label] = new(tree, (p, labels, children, None))
                 if left > 0:
                     for child in reversed(labels):
                         stack.append((p + (child,), left - 1, children, child))
@@ -428,16 +429,16 @@ class EvalContext(InternedContext):
                 gc.enable()
 
 
-@dataclass(slots=True)
-class ObservationTree:
+class ObservationTree(NamedTuple):
     """Finite-depth tree of properties; the canonical observable output.  Its
     printers read one explicit-stack walk, ``_preorder``, so a tree of any depth
-    prints; only ``json``, under ``to_json``, recurses: two dicts per level."""
+    prints; only ``json``, under ``to_json``, recurses: two dicts per level.
+    Its ``children`` dict makes a tree unhashable."""
 
     path: Path
     labels: tuple[str, ...]
-    children: dict[str, "ObservationTree"] = field(default_factory=dict)
-    divergence: str | None = None
+    children: dict[str, ObservationTree]
+    divergence: str | None
 
     def _preorder(self):
         """(node, depth below this one, its label or None here) for each

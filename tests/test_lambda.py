@@ -732,6 +732,44 @@ def test_head_reduce_proves_corpus_t9899_divergent():
     assert bohm_text(bohm_prefix(t)) == "bottom"
 
 
+def _whnf_steps(t, fuel=1_000):
+    """The β-steps a call-by-name Krivine machine takes to a weak head
+    normal form of the closed oracle term t, or None past ``fuel``: it
+    stops at an abstraction with no argument waiting and never goes under
+    a binder.  An ANF let is a β-redex in its oracle form, so it counts as
+    a step.  Environments and the stack are (head, tail) cons cells."""
+    env, stack, steps = None, None, 0
+    while True:
+        if t[0] == "app":
+            stack = ((t[2], env), stack)
+            t = t[1]
+        elif t[0] == "var":
+            cell = env
+            for _ in range(t[1]):
+                cell = cell[1]
+            t, env = cell[0]
+        elif stack is None:
+            return steps
+        elif steps == fuel:
+            return None
+        else:
+            steps += 1
+            closure, stack = stack
+            env, t = (closure, env), t[1]
+
+
+@pytest.mark.parametrize("index, steps", [(8668, 0), (9899, 2), (9936, 1)])
+def test_corpus_terms_with_a_whnf_but_no_hnf(index, steps):
+    # The lazy bridge converges on these three in as many steps as a
+    # weak-head machine takes, while head reduction proves them divergent.
+    anf = anf_transform(oracle_to_named(enumerate_closed_terms(10)[index]))
+    assert _whnf_steps(named_to_oracle(anf)) == steps
+    v = judge(f"t{index}", anf)
+    assert v.convergence == v.direct == ConvergenceReport(True, steps)
+    assert v.oracle.status == "diverged"
+    assert head_reduce(named_to_oracle(anf)).status == "diverged"
+
+
 @pytest.mark.parametrize("k", [1_000, 10_000])
 def test_oracle_reduces_long_identity_chains(k):
     # (\x. x) ((\x. x) (... (\y. y))), built by a loop: the parser and

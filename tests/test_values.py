@@ -1,13 +1,16 @@
-"""The immutable value types are named tuples, like ``syntax.Node``.
+"""Every value type of the package is a named tuple, like ``syntax.Node``.
 
-They keep the contract of the frozen dataclasses they replaced: the same
-``repr``, value equality with the same hash (a frozen dataclass hashes
-its field tuple, as a tuple does), and no assignment.  ``Reference``
-checks ``n >= 0`` on every way to build one."""
+Terms, references, reports, verdicts, single-path violations, fixtures,
+expectations and their results share one contract: a ``repr`` that
+builds an equal value, value equality with a hash equal to the field
+tuple's, and no assignment.  ``ObservationTree`` keeps all of it but the
+hash, since it holds a children dict.  ``Reference`` checks ``n >= 0`` on
+every way to build one."""
 
 import pytest
 
 from inhcalc.corpus import Verdict
+from inhcalc.fixtures import Expectation, ExpectationResult, Fixture
 from inhcalc.lam import (
     Abs,
     App,
@@ -18,7 +21,11 @@ from inhcalc.lam import (
     Let,
     Var,
 )
+from inhcalc.semantics import ObservationTree, SinglePathViolation
 from inhcalc.syntax import LexicalRef, NamedRef, Reference
+
+_EXPECTATION = Expectation("properties", ("a",), "-", "sanity")
+_EXPECTATION_TEXT = "Expectation(op='properties', args=('a',), expected='-', origin='sanity')"
 
 _VALUES = [
     (Var("x"), "Var(name='x')"),
@@ -48,6 +55,20 @@ _VALUES = [
         " direct=ConvergenceReport(converged=True, depth=0, reason=None),"
         " single_path_violations=0)",
     ),
+    # one frontier path, so the frozenset's repr does not follow the hash seed
+    (
+        SinglePathViolation(frozenset({("a",)}), ("x", "y"), 1),
+        "SinglePathViolation(frontier=frozenset({('a',)}), p_def=('x', 'y'), n=1)",
+    ),
+    (_EXPECTATION, _EXPECTATION_TEXT),
+    (
+        Fixture("f", "{a = {}}", (_EXPECTATION,)),
+        f"Fixture(name='f', source='{{a = {{}}}}', expectations=({_EXPECTATION_TEXT},))",
+    ),
+    (
+        ExpectationResult(_EXPECTATION, True, "-"),
+        f"ExpectationResult(expectation={_EXPECTATION_TEXT}, passed=True, actual='-')",
+    ),
 ]
 
 
@@ -58,13 +79,26 @@ def test_value_contract(value, text):
     assert equal is not value
     assert equal == value and hash(equal) == hash(value)
     assert hash(value) == hash(tuple(value))
-    # The one behaviour the frozen dataclasses did not have: a value
-    # equals the plain tuple of its fields.
+    # As every named tuple does, a value equals the plain tuple of its fields.
     assert value == tuple(value)
     with pytest.raises(AttributeError):
         setattr(value, value._fields[0], None)
     with pytest.raises(AttributeError):
         value.extra = None
+
+
+def test_observation_tree_is_a_named_tuple_without_a_hash():
+    leaf = ObservationTree(("a",), (), {}, None)
+    tree = ObservationTree((), ("a",), {"a": leaf}, None)
+    assert repr(tree) == (
+        "ObservationTree(path=(), labels=('a',), children={'a': ObservationTree("
+        "path=('a',), labels=(), children={}, divergence=None)}, divergence=None)"
+    )
+    assert tree == ((), ("a",), {"a": (("a",), (), {}, None)}, None)
+    with pytest.raises(AttributeError):
+        tree.divergence = "Cycle"
+    with pytest.raises(TypeError):
+        hash(tree)
 
 
 def test_values_of_different_types_differ():
