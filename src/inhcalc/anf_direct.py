@@ -144,5 +144,6 @@ class DirectContext(InternedContext):
 def converges_direct(
     dp: CoreProgram, fuel: int = DEFAULT_FUEL, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> ConvergenceReport:
-    """The result-chain scan over the direct engine's ``labels``."""
-    return _scan_result_chain(DirectContext(dp, fuel=fuel).labels, max_depth)
+    """The result-chain scan over the direct engine's per-id ``labels``."""
+    ctx = DirectContext(dp, fuel=fuel)
+    return _scan_result_chain(ctx, ctx._labels, max_depth)

@@ -47,6 +47,7 @@ from .semantics import (
     DEFAULT_FUEL,
     DivergenceError,
     EvalContext,
+    InternedContext,
 )
 from .syntax import (
     CoreProgram,
@@ -379,7 +380,7 @@ class _Translation:
         if bound is None:
             raise FreeVariableError(f"translate requires a closed term: {name!r} is free")
         j, downs = bound
-        return Reference(level - 1 - j, downs)
+        return _new(Reference, (level - 1 - j, downs))  # j < level, so n >= 0
 
     def comp(self, m: Term, i: int, level: int) -> None:
         """Translate the computation m into the record of id i, at the
@@ -486,13 +487,23 @@ class ConvergenceReport(NamedTuple):
         return f"not converged: {self.reason}"
 
 
-def _scan_result_chain(labels, max_depth: int, base_path: Path = ()) -> ConvergenceReport:
+def _scan_result_chain(
+    ctx: InternedContext, equation, max_depth: int, base_path: Path = ()
+) -> ConvergenceReport:
     """Scan n = 0, 1, ... for the least result-chain depth at which
-    ``labels`` of the path has both ``argument`` and ``result`` (the
-    abstraction shape)."""
+    ``equation``, the context's per-id ``_properties`` or ``_labels``,
+    gives ``base_path`` + ``result``^n both ``argument`` and ``result``
+    (the abstraction shape).  The scan interns ``base_path`` once and steps
+    to each next level by its ``result`` child, so a level costs one dict
+    read and builds no path; it asks the ids in the order, and adds them
+    in the order, that interning each path would."""
+    kids, add = ctx._kids, ctx._add_child
+    i = ctx._intern(base_path)
     for n in range(max_depth + 1):
+        if n:
+            i = kids[i].get("result") or add(i, "result")
         try:
-            found = labels(base_path + ("result",) * n)
+            found = equation(i)
         except DivergenceError as exc:
             return _new(ConvergenceReport, (False, None, exc.kind))
         if "argument" in found and "result" in found:
@@ -507,11 +518,12 @@ def converges(
     base_path: Path = (),
     ctx: EvalContext | None = None,
 ) -> ConvergenceReport:
-    """The result-chain scan over the general engine's ``properties``.  A
-    given ``ctx`` is evaluated as is, so ``prog`` and ``fuel`` are then unread."""
+    """The result-chain scan over the general engine's per-id
+    ``properties``, which it asks without the public method.  A given
+    ``ctx`` is evaluated as is, so ``prog`` and ``fuel`` are then unread."""
     if ctx is None:
         ctx = EvalContext(prog, fuel=fuel)
-    return _scan_result_chain(ctx.properties, max_depth, base_path)
+    return _scan_result_chain(ctx, ctx._properties, max_depth, base_path)
 
 
 # ---------------------------------------------------------------------------
@@ -689,31 +701,58 @@ def bohm_prefix(t: OTerm, depth: int = 2, fuel: int = ORACLE_FUEL) -> BohmNode:
 
 
 def _bohm(entry, binders: int, depth: int, fuel: int) -> BohmNode:
-    """The Böhm prefix of an environment entry under ``binders`` levels."""
-    if isinstance(entry, int):
-        return HnfNode(0, binders - 1 - entry, ())
-    status, _, hnf = _machine(*entry, binders, fuel)
-    if status != "hnf":
-        return Bottom(proven=status == "diverged")
-    head, levels, args = hnf
-    children = []
-    while args is not None:
-        entry, args = args
-        children.append(UNEXPANDED if depth <= 0 else _bohm(entry, levels, depth - 1, fuel))
-    return HnfNode(levels - binders, head, tuple(children))
+    """The Böhm prefix of an environment entry under ``binders`` levels.
+    One loop walks the tree on a stack of open head normal forms, each
+    [binders, head, levels, arguments left, children so far, depth left]:
+    a child is reduced when its parent reaches it, in argument order, and
+    a node closes once its last argument is read, so the tree costs no
+    stack frame per level."""
+    stack = []
+    while True:
+        if isinstance(entry, int):
+            node = HnfNode(0, binders - 1 - entry, ())
+        else:
+            status, _, hnf = _machine(*entry, binders, fuel)
+            if status == "hnf":
+                head, levels, args = hnf
+                stack.append([binders, head, levels, args, [], depth])
+                node = None
+            else:
+                node = Bottom(proven=status == "diverged")
+        while stack:
+            frame = stack[-1]
+            if node is not None:
+                frame[4].append(node)
+            outer, head, levels, args, children, left = frame
+            if args is None:
+                stack.pop()
+                node = HnfNode(levels - outer, head, tuple(children))
+            elif left <= 0:
+                frame[3] = args[1]
+                node = UNEXPANDED
+            else:
+                entry, frame[3] = args
+                binders, depth = levels, left - 1
+                break
+        else:
+            return node
 
 
 def bohm_text(node: BohmNode, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(node, Bottom):
-        mark = "bottom" if node.proven else "bottom?"
-        return f"{pad}{mark}"
-    lines = [f"{pad}λ^{node.binders}. {node.head}"]
-    for child in node.children:
-        if child == UNEXPANDED:
-            lines.append("  " * (indent + 1) + "...")
+    """One line per node in preorder, each indented two spaces per level,
+    read off an explicit stack, so a tree of any depth prints."""
+    lines = []
+    stack = [(node, indent)]
+    while stack:
+        node, indent = stack.pop()
+        pad = "  " * indent
+        if node == UNEXPANDED:
+            lines.append(pad + "...")
+        elif isinstance(node, Bottom):
+            lines.append(pad + ("bottom" if node.proven else "bottom?"))
         else:
-            lines.append(bohm_text(child, indent + 1))
+            lines.append(f"{pad}λ^{node.binders}. {node.head}")
+            stack.extend((child, indent + 1) for child in reversed(node.children))
     return "\n".join(lines)
 
 

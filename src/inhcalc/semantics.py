@@ -186,9 +186,10 @@ class InternedContext:
     paths it meets, whose first ids are the program's own.
 
     An id's memo key hashes in O(1), a step to a known parent or child
-    allocates nothing, and a path that extends the last one interned
-    costs one dict lookup per label beyond it; any other path costs one
-    per label.  The context copies the program's per-id lists, whose nodes
+    allocates nothing, and a path costs one dict lookup per label, walked
+    from the root; a caller that walks on from an id it holds, as the
+    result-chain scan does, steps by child instead.  The context copies
+    the program's per-id lists, whose nodes
     are ``Node``s, and copies the children dict of an adopted id (one below
     the program's length) the first time it adds to it; it adds ids with
     ``CoreProgram._add``, each with the empty node, so evaluation never
@@ -214,7 +215,6 @@ class InternedContext:
         self._label: list = list(program._label)
         self._kids: list[dict[str, int]] = list(program._kids)
         self._node: list[Node] = list(program._node)
-        self._last: tuple = ((), 0)  # the last path interned, and its id
 
     def _add_child(self, i: int, label: str) -> int:
         """Intern the child ``label`` of id ``i``, which has none yet.  No
@@ -226,17 +226,10 @@ class InternedContext:
         return CoreProgram._add(self, i, label)
 
     def _intern(self, p: Path) -> int:
-        """The id of path ``p``.  A path that extends the last one interned
-        is walked from that path's id, so a scan down a chain takes one
-        step per level."""
-        last, i = self._last
-        n = len(last)
-        if p[:n] != last:
-            i = n = 0
-        kids = self._kids
-        for label in p[n:]:
+        """The id of path ``p``, walked from the root."""
+        i, kids = 0, self._kids
+        for label in p:
             i = kids[i].get(label) or self._add_child(i, label)
-        self._last = (tuple(p), i)
         return i
 
     def _paths(self, ids):

@@ -26,8 +26,8 @@ representation and writes the program anew in sorted path order, with
 ``Node`` nodes, so the source's order does not reach evaluation.
 
 References (``Reference``, ``NamedRef``, ``LexicalRef``) are immutable
-named tuples, like ``Node``, and a ``Reference`` checks ``n >= 0`` on
-every way to build one.  Like ``lam``'s terms, where ``Var("x") ==
+named tuples, like ``Node``, and a ``Reference`` built by its public
+constructors checks ``n >= 0``.  Like ``lam``'s terms, where ``Var("x") ==
 ("x",)`` is True, a reference equals the plain tuple of its fields:
 ``Reference(0) == (0, ())``.
 """
@@ -68,8 +68,9 @@ class _ReferenceFields(NamedTuple):
 
 class Reference(_ReferenceFields):
     """A desugared reference: ``n`` scope levels up, then ``downs`` down.
-    Every way to build one checks ``n >= 0``: the constructor, ``_make``
-    and ``_replace``."""
+    The constructor, ``_make`` and ``_replace`` check ``n >= 0``.
+    ``lam``'s translation builds one with ``tuple.__new__``, unchecked,
+    where n >= 0 holds by construction."""
 
     __slots__ = ()
 

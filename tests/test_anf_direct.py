@@ -37,6 +37,7 @@ from inhcalc.semantics import (
     DEFAULT_FUEL,
     DivergenceError,
     EvalContext,
+    InternedContext,
     ScopeUnderflowError,
 )
 from inhcalc.syntax import Reference, parse_program, render, resolve_references
@@ -177,7 +178,7 @@ def test_direct_fuel_pinned_on_corpus(engine, method, pinned):
     rows = []
     for name, anf in corpus_terms(8):
         ctx = engine(extract(anf), fuel=10_000)
-        report = _scan_result_chain(getattr(ctx, method), DEFAULT_MAX_DEPTH)
+        report = _scan_result_chain(ctx, getattr(ctx, "_" + method), DEFAULT_MAX_DEPTH)
         rows.append(
             f"{name}\t{report.converged}\t{report.depth}\t{report.reason}\t{ctx.fuel}"
         )
@@ -275,7 +276,7 @@ def test_no_key_of_a_tableless_equation_is_asked_twice():
     for prog, fuel, max_depth in scans + [(chain, DEFAULT_FUEL, 121)]:
         for engine, method in ((general, "properties"), (direct, "labels")):
             ctx = engine(prog, fuel=fuel)
-            _scan_result_chain(getattr(ctx, method), max_depth)
+            _scan_result_chain(ctx, getattr(ctx, "_" + method), max_depth)
             contexts.append(ctx)
     seen = set()
     for ctx in contexts:
@@ -309,9 +310,30 @@ def test_scans_of_a_120_redex_chain_intern_no_new_id():
     prog = translate(anf_transform(parse_lambda(identity_chain(k))))
     general, direct = EvalContext(prog), DirectContext(prog)
     assert converges(prog, ctx=general, max_depth=k + 1).depth == k
-    assert _scan_result_chain(direct.labels, k + 1).depth == k
+    assert _scan_result_chain(direct, direct._labels, k + 1).depth == k
     assert len(prog._node) == len(general._node) == len(direct._node) == 483
     assert (DEFAULT_FUEL - general.fuel, DEFAULT_FUEL - direct.fuel) == (2283, 2040)
+
+
+def test_each_scan_interns_one_path(monkeypatch):
+    # A scan interns its base path and steps down the chain by child ids,
+    # so neither engine interns a path per level.
+    k = 120
+    anf = anf_transform(parse_lambda(identity_chain(k)))
+    interned = []
+    intern = InternedContext._intern
+
+    def counted(self, p):
+        interned.append(tuple(p))
+        return intern(self, p)
+
+    monkeypatch.setattr(InternedContext, "_intern", counted)
+    assert converges(translate(anf), max_depth=k + 1).depth == k
+    assert interned == [()]
+    assert converges_direct(extract(anf), max_depth=k + 1).depth == k
+    assert interned == [(), ()]
+    assert converges(translate(anf), max_depth=k, base_path=("result",)).depth == k - 1
+    assert interned == [(), (), ("result",)]
 
 
 class _PlainWalk:

@@ -210,6 +210,18 @@ def test_lambda_bohm_takes_a_deep_binder_nest(runner):
     assert result.output == "λ^10000. 9999\n"
 
 
+def test_lambda_bohm_prints_a_1000_level_tree(runner):
+    # the Böhm tree of Y, f (f (f ...)), built and printed on explicit stacks
+    y = r"\f. (\x. f (x x)) (\x. f (x x))"
+    result = runner.invoke(main, ["lambda", "bohm", y, "--depth", "1000"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert len(lines) == 1_002
+    assert lines[0] == "λ^1. 0"
+    assert lines[1000] == "  " * 1000 + "λ^0. 0"
+    assert lines[-1] == "  " * 1001 + "..."
+
+
 def test_lambda_bohm_budget_defaults_to_the_oracle_s(runner, monkeypatch):
     # --fuel counts the oracle's beta-steps, not the evaluator's equation body runs
     budgets = []

@@ -49,7 +49,7 @@ from inhcalc.lam import (
     translate_surface,
 )
 from inhcalc.semantics import EvalContext
-from inhcalc.syntax import Node, parse_program, render, resolve_references
+from inhcalc.syntax import Node, Reference, parse_program, render, resolve_references
 
 # ---------------------------------------------------------------------------
 # Parsing and ANF
@@ -811,6 +811,24 @@ def test_bohm_prefix_truncation():
     assert all(child is UNEXPANDED for child in node.children)
 
 
+def test_bohm_prefix_of_a_fixed_point_combinator_at_depth_2000():
+    # Y's tree is f (f (f ...)): one level per unfolding, walked and
+    # printed on explicit stacks
+    depth = 2_000
+    y = named_to_oracle(parse_lambda(r"\f. (\x. f (x x)) (\x. f (x x))"))
+    node = root = bohm_prefix(y, depth)
+    assert (node.binders, node.head) == (1, 0)
+    for _ in range(depth):
+        (node,) = node.children
+        assert (node.binders, node.head) == (0, 0)
+    assert node.children == (UNEXPANDED,)
+    lines = bohm_text(root).split("\n")
+    assert len(lines) == depth + 2
+    assert lines[0] == "λ^1. 0"
+    assert lines[1:-1] == ["  " * k + "λ^0. 0" for k in range(1, depth + 1)]
+    assert lines[-1] == "  " * (depth + 1) + "..."
+
+
 # SHA-256 of "name<TAB>status<TAB>steps" of head_reduce over corpus_terms(9),
 # one line per term, with the steps of "hnf" verdicts only: how many steps
 # a proof of divergence takes depends on the reducer, not on the term.
@@ -875,7 +893,9 @@ def test_values_built_as_tuples_are_the_classes_own():
         assert typed(rebuilt(named)) == typed(named)
     for name, anf in corpus_terms(8):
         assert typed(rebuilt(anf)) == typed(anf), name
-        assert all(type(n) is Node and Node(*n) == n for n in translate(anf)._node)
+        nodes = translate(anf)._node
+        assert all(type(n) is Node and Node(*n) == n for n in nodes)
+        assert all(type(r) is Reference and Reference(*r) == r for n in nodes for r in n[1])
         v = judge(name, anf)
         assert type(v) is Verdict and type(v.oracle) is HeadResult, name
         assert type(v.convergence) is type(v.direct) is ConvergenceReport, name

@@ -5,7 +5,7 @@ expectations and their results share one contract: a ``repr`` that
 builds an equal value, value equality with a hash equal to the field
 tuple's, and no assignment.  ``ObservationTree`` keeps all of it but the
 hash, since it holds a children dict.  ``Reference`` checks ``n >= 0`` on
-every way to build one."""
+every public way to build one."""
 
 import pytest
 
