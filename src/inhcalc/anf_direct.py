@@ -118,7 +118,7 @@ class DirectContext(InternedContext):
             return p_site
         if p_def == 0:
             raise ScopeUnderflowError(f"scope step above the root (n={n} remaining)")
-        contexts = self.memo["callee_ctx"].get(p_site) or self._callee_ctx(p_site)
+        contexts = self._callee_ctx(p_site)
         callers = {context for context, grafts in contexts if p_def in grafts}
         if len(callers) != 1:
             path = self._paths

@@ -236,7 +236,8 @@ def fixtures_run(name, fuel):
 @click.option("--size", type=click.IntRange(min=1, max=corpus_mod.MAX_CORPUS_SIZE),
               default=corpus_mod.MAX_CORPUS_SIZE, show_default=True,
               help="Maximum AST size of enumerated closed terms.")
-@fuel_option(10_000, "the oracle's beta-steps and each engine's equation body runs, per term")
+@fuel_option(corpus_mod.TERM_FUEL,
+             "the oracle's beta-steps and each engine's equation body runs, per term")
 @max_depth_option
 def corpus(size, fuel, max_depth):
     """Sweep the small-term corpus against the oracle; print verdicts.

@@ -29,6 +29,7 @@ from .lam import (
 from .semantics import EvalContext
 
 MAX_CORPUS_SIZE = 7
+TERM_FUEL = 10_000  # per term: the oracle's beta-steps, and each engine's equation body runs
 
 
 @lru_cache(maxsize=None)
@@ -106,21 +107,18 @@ def corpus_terms(max_size: int = MAX_CORPUS_SIZE) -> list[tuple[str, Term]]:
 
 
 def judge(
-    name: str, anf_term: Term, fuel: int = 10_000, max_depth: int = DEFAULT_MAX_DEPTH
+    name: str, anf_term: Term, fuel: int = TERM_FUEL, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> Verdict:
     oracle = head_reduce(named_to_oracle(anf_term), fuel)
     prog = translate(anf_term)  # one table, read by both engines
     ctx = EvalContext(prog, fuel=fuel)
     conv = converges(prog, max_depth=max_depth, ctx=ctx)
     direct = converges_direct(prog, fuel=fuel, max_depth=max_depth)
-    # Verdict(...) without the generated constructor's frame
-    return tuple.__new__(
-        Verdict, (name, anf_term, oracle, conv, direct, len(ctx.single_path_violations))
-    )
+    return Verdict(name, anf_term, oracle, conv, direct, len(ctx.single_path_violations))
 
 
 def sweep(
-    max_size: int = MAX_CORPUS_SIZE, fuel: int = 10_000, max_depth: int = DEFAULT_MAX_DEPTH
+    max_size: int = MAX_CORPUS_SIZE, fuel: int = TERM_FUEL, max_depth: int = DEFAULT_MAX_DEPTH
 ) -> list[Verdict]:
     return [judge(name, t, fuel, max_depth) for name, t in corpus_terms(max_size)]
 

@@ -20,11 +20,12 @@ Terms (``Var``, ``Abs``, ``App``, ``Let``), the reports ``ConvergenceReport``
 and ``HeadResult``, and the Böhm nodes are immutable named tuples, like
 ``syntax.Node``: equal values compare and hash equal, and a field cannot
 be set.  As every named tuple does, a value also equals the plain tuple
-of its fields: ``Var("x") == ("x",)`` is True.  The hot paths
-(``parse_lambda``, ``oracle_to_named``, ``anf_transform``, ``translate``'s
-``Node``s and the two reports) build them with ``_new(Cls, fields)``: the
-body of the generated constructor without its Python frame, at about half
-its cost.
+of its fields: ``Var("x") == ("x",)`` is True.  The passes that build
+one value per node (``parse_lambda``, ``oracle_to_named``,
+``anf_transform`` and ``translate``'s ``Node``s and references) build
+them with ``_new(Cls, fields)``: the body of the generated constructor
+without its Python frame, at about half its cost.  A value built once per
+call, such as a report, takes its constructor.
 
 The parser, ``anf_transform``, ``translate`` and ``named_to_oracle``
 each read a run of binders, λs and lets alike, in one loop: it binds
@@ -505,9 +506,9 @@ def _scan_result_chain(
         try:
             found = equation(i)
         except DivergenceError as exc:
-            return _new(ConvergenceReport, (False, None, exc.kind))
+            return ConvergenceReport(False, None, exc.kind)
         if "argument" in found and "result" in found:
-            return _new(ConvergenceReport, (True, n, None))
+            return ConvergenceReport(True, n)
     return ConvergenceReport(False, None, "DepthExceeded")
 
 
@@ -675,7 +676,7 @@ def head_reduce(t: OTerm, fuel: int = ORACLE_FUEL) -> HeadResult:
     """Head-reduce t for at most ``fuel`` beta-steps.  Status "diverged"
     means a repeated machine state proved that t has no head normal form."""
     status, steps, _ = _machine(t, None, 0, fuel)
-    return _new(HeadResult, (status, steps))
+    return HeadResult(status, steps)
 
 
 # Boehm prefix nodes
@@ -697,16 +698,13 @@ BohmNode = Bottom | HnfNode
 
 
 def bohm_prefix(t: OTerm, depth: int = 2, fuel: int = ORACLE_FUEL) -> BohmNode:
-    return _bohm((t, None), 0, depth, fuel)
-
-
-def _bohm(entry, binders: int, depth: int, fuel: int) -> BohmNode:
-    """The Böhm prefix of an environment entry under ``binders`` levels.
-    One loop walks the tree on a stack of open head normal forms, each
-    [binders, head, levels, arguments left, children so far, depth left]:
-    a child is reduced when its parent reaches it, in argument order, and
-    a node closes once its last argument is read, so the tree costs no
-    stack frame per level."""
+    """The Böhm prefix of t, ``depth`` levels of children deep, each head
+    normal form found in at most ``fuel`` beta-steps.  One loop walks the
+    tree on a stack of open head normal forms, each [binders, head, levels,
+    arguments left, children so far, depth left]: a child is reduced when
+    its parent reaches it, in argument order, and a node closes once its
+    last argument is read, so the tree costs no stack frame per level."""
+    entry, binders = (t, None), 0
     stack = []
     while True:
         if isinstance(entry, int):
@@ -738,11 +736,11 @@ def _bohm(entry, binders: int, depth: int, fuel: int) -> BohmNode:
             return node
 
 
-def bohm_text(node: BohmNode, indent: int = 0) -> str:
+def bohm_text(node: BohmNode) -> str:
     """One line per node in preorder, each indented two spaces per level,
     read off an explicit stack, so a tree of any depth prints."""
     lines = []
-    stack = [(node, indent)]
+    stack = [(node, 0)]
     while stack:
         node, indent = stack.pop()
         pad = "  " * indent

@@ -134,6 +134,14 @@ def spine_text(n: int) -> str:
     return "\\f. " + " ".join(["f"] * (n + 1))
 
 
+def binder_nest(n: int) -> Term:
+    """\\x0. \\x1. ... \\x<n-1>. x0, built without the parser."""
+    t = Var("x0")
+    for i in reversed(range(n)):
+        t = Abs(f"x{i}", t)
+    return t
+
+
 def let_chain(n: int) -> Term:
     """\\f. let x0 = f f in let x1 = x0 f in ... in x<n-1>, built by a loop."""
     t = Var(f"x{n - 1}")

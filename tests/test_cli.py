@@ -83,6 +83,30 @@ def test_query_parse_error_is_input_error(runner, tmp_path):
     assert "error:" in result.output
 
 
+def test_query_ancestors_json(runner):
+    path = "src/inhcalc/fixtures/multipath.inh"
+    args = ["query", path, "--path", "HasMultipleOuters.outer", "--op", "ancestors"]
+    result = runner.invoke(main, args + ["--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == [
+        "HasMultipleOuters.outer", "MyOuter", "MyOuter.MyInner.outer", "Object1", "Object2"
+    ]
+
+
+def test_query_malformed_path_is_input_error(runner, program_file):
+    result = runner.invoke(main, ["query", program_file, "--path", "a..b"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: invalid path component: ''\n"
+
+
+def test_query_scope_underflow_is_input_error(runner, tmp_path):
+    path = tmp_path / "under.inh"
+    path.write_text("{a = {^3}}")
+    result = runner.invoke(main, ["query", str(path), "--path", "a"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: scope underflow: this step above the root (n=3 remaining)\n"
+
+
 def _assert_resource_limit(result):
     assert result.exit_code == 3
     assert result.stderr.startswith("error: resource limit")

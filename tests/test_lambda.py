@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    binder_nest,
     chain_text,
     free_vars,
     is_anf,
@@ -19,6 +20,7 @@ from conftest import (
     typed,
     zigzag,
 )
+from inhcalc.anf_direct import converges_direct
 from inhcalc.corpus import Verdict, _terms, corpus_terms, enumerate_closed_terms, judge
 from inhcalc.fixtures import fixture
 from inhcalc.lam import (
@@ -319,14 +321,6 @@ def test_anf_transform_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def _binder_nest(n):
-    """\\x0. \\x1. ... \\x<n-1>. x0, built without the parser."""
-    t = Var("x0")
-    for i in reversed(range(n)):
-        t = Abs(f"x{i}", t)
-    return t
-
-
 def _same_term(a, b):
     """a == b for terms of any depth, compared link by link: tuple ``==``
     recurses in C once per level."""
@@ -358,7 +352,7 @@ def test_lambda_front_end_takes_deep_binder_nests():
     assert sys.getrecursionlimit() <= 1000
     n = 10_000
     t = parse_lambda("".join(f"\\x{i}. " for i in range(n)) + "x0")
-    assert _same_term(t, _binder_nest(n))
+    assert _same_term(t, binder_nest(n))
     assert anf_transform(t) is t
     prog = translate(t)
     assert len(prog.nodes) == len(parse_program(render(prog)).nodes) == 20_001
@@ -455,6 +449,26 @@ def test_anf_fresh_names_skip_only_binders_in_scope():
 def test_anf_rejects_synthetic_name_collisions():
     with pytest.raises(SyntheticNameCollision):
         anf_transform(parse_lambda(r"\x. let result = x x in result"))
+
+
+@pytest.mark.parametrize("text, anf_text, steps", [
+    # a let in function position, then in argument position, read as its redex
+    (r"\f. (let x = f f in x) f", r"\f. let _a0 = f f in let _a1 = (\x. x) _a0 in _a1 f", 3),
+    (r"\f. f (let x = f f in x)", r"\f. let _a0 = f f in let _a1 = (\x. x) _a0 in f _a1", 2),
+])
+def test_anf_of_a_let_inside_an_application(text, anf_text, steps):
+    anf = anf_transform(parse_lambda(text))
+    assert term_text(anf) == anf_text
+    assert head_reduce(named_to_oracle(anf)) == HeadResult("hnf", steps)
+    assert converges(translate(anf)) == converges_direct(translate(anf)) == (True, 0, None)
+
+
+def test_anf_rebuilds_a_let_s_right_side():
+    # the right side applies a value to a value, but the λ in it is not in ANF
+    t = parse_lambda(r"\w. let x = (\y. (\z. z) (y y)) w in x")
+    anf = anf_transform(t)
+    assert term_text(anf) == r"\w. let x = (\y. let _a0 = y y in (\z. z) _a0) w in x"
+    assert anf.body.rhs.arg is t.body.rhs.arg and anf.body.body is t.body.body
 
 
 def test_source_let_desugars_to_redex():
@@ -684,7 +698,7 @@ def test_named_to_oracle_takes_deep_nests_of_lambdas_and_lets():
     # a run of binders, λs and lets alike, costs named_to_oracle no frame
     assert sys.getrecursionlimit() <= 1000
     n = 10_000
-    t = named_to_oracle(_binder_nest(n))
+    t = named_to_oracle(binder_nest(n))
     for _ in range(n):
         tag, t = t
         assert tag == "abs"
@@ -885,9 +899,10 @@ def test_oracle_named_round_trip():
 
 
 def test_values_built_as_tuples_are_the_classes_own():
-    """The hot paths build terms, nodes and reports with ``tuple.__new__``;
-    each value equals, node for node and type for type, what the public
-    constructors build."""
+    """The per-node passes build terms, nodes and references with
+    ``tuple.__new__``; each value equals, node for node and type for type,
+    what the public constructors build.  Reports and verdicts, built with
+    their constructors, are checked for their types."""
     for ot in enumerate_closed_terms(8):
         named = oracle_to_named(ot)
         assert typed(rebuilt(named)) == typed(named)

@@ -367,6 +367,12 @@ def test_scope_underflow_above_root():
         ctx.properties(("a", "b"))
 
 
+def test_resolve_with_the_root_as_definition_path():
+    ctx = EvalContext(parse_program("{a = {}}"))
+    with pytest.raises(ScopeUnderflowError, match="nonempty definition-site path"):
+        ctx.resolve(("a",), (), 0, ())
+
+
 def test_observe_structure_is_path_independent():
     prog = parse_program("{A = {x = {y = {}}}, B = {A}}")
     ctx = EvalContext(prog)
