@@ -2,12 +2,12 @@
 
 The direct engine reads the program that ``lam.translate`` writes for
 the general engine (``extract`` is ``translate``).  The program is
-shared; the equations are not.  ``labels``, ``grafts``, ``callee``,
-``scope`` and ``callee_ctx`` are specialized to images of the
-translation and written independently of the six general equations;
-they are the direct engine's own code.  ``scope`` is single-valued: on
-images of the translation the caller at each upward step is unique, and
-a violation raises AmbiguousCaller.
+shared; the equations are not.  ``labels``, ``grafts``, ``callee`` and
+``callee*`` are specialized to images of the translation and written
+independently of the six general equations; they are the direct
+engine's own code.  ``callee`` walks a reference's scope steps in a
+loop, not through an equation: on images of the translation the caller
+at each upward step is unique, and a violation raises AmbiguousCaller.
 
 The machinery is shared: the direct equations run on the interned path
 ids of the general evaluator's trie (``semantics.InternedContext``), read
@@ -97,7 +97,7 @@ class DirectContext(InternedContext):
 
     @equation("callee")
     def _callee(self, p: int) -> frozenset[int]:
-        parent, node, kids = self._parent, self._node, self._kids
+        parent, node, kids, done = self._parent, self._node, self._kids, self.memo["grafts"]
         out = set()
         for p_graft in self._grafts(p):
             for n, downs in node[p_graft][1]:
@@ -105,40 +105,30 @@ class DirectContext(InternedContext):
                     raise ScopeUnderflowError(
                         "a reference at the root has no enclosing scope"
                     )
-                target = self._scope((parent[p], parent[p_graft], n))
+                # n scope steps up: the callers of a site for a definition
+                # scope are the parents of the site's callees* grafting it
+                target, p_def = parent[p], parent[p_graft]
+                for left in range(n, 0, -1):
+                    if p_def == 0:
+                        raise ScopeUnderflowError(
+                            f"scope step above the root (n={left} remaining)"
+                        )
+                    callers = set()
+                    for s in self._callee_star(target):
+                        if p_def in (done.get(s) or self._grafts(s)):
+                            callers.add(parent[s])
+                    if len(callers) != 1:
+                        path = self._paths
+                        raise AmbiguousCaller(
+                            path(target), path(p_def), {path(c) for c in callers}
+                        )
+                    (target,) = callers
+                    assert target is not ABOVE_ROOT
+                    p_def = parent[p_def]
                 for label in downs:
                     target = kids[target].get(label) or self._add_child(target, label)
                 out.add(target)
         return frozenset(out)
-
-    @equation("scope")
-    def _scope(self, key: tuple) -> int:
-        p_site, p_def, n = key
-        if n == 0:
-            return p_site
-        if p_def == 0:
-            raise ScopeUnderflowError(f"scope step above the root (n={n} remaining)")
-        contexts = self._callee_ctx(p_site)
-        callers = {context for context, grafts in contexts if p_def in grafts}
-        if len(callers) != 1:
-            path = self._paths
-            raise AmbiguousCaller(
-                path(p_site), path(p_def), {path(c) for c in callers}
-            )
-        (caller,) = callers
-        assert caller is not ABOVE_ROOT
-        return self._scope((caller, self._parent[p_def], n - 1))
-
-    @equation("callee_ctx")
-    def _callee_ctx(self, p: int) -> tuple:
-        """The callee contexts of ``p``, factored by callee: one
-        ``(parent(s), grafts(s))`` entry per ``s`` in ``callee*(p)``, in its
-        iteration order, each grafts set the one its memo holds."""
-        parent, done = self._parent, self.memo["grafts"]
-        out = []
-        for s in self._callee_star(p):
-            out.append((parent[s], done.get(s) or self._grafts(s)))
-        return tuple(out)
 
 
 def converges_direct(

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 divergence / failed verdict, 2 input error,
 3 resource limit (input nested too deeply for the recursive evaluator).
-``INHCALC_FUEL`` and ``INHCALC_MAX_DEPTH`` override the flag defaults.
+Budgets come from flags only: ``--fuel`` counts a different unit per
+command, which its help names.
 """
 
 from __future__ import annotations
@@ -65,14 +66,13 @@ def _load_program(file: str):
 
 def fuel_option(default: int = DEFAULT_FUEL, unit: str = "the evaluator's equation body runs"):
     return click.option("--fuel", type=click.IntRange(min=1), default=default,
-                        envvar="INHCALC_FUEL", show_default=True, help=f"Step budget, in {unit}.")
+                        show_default=True, help=f"Step budget, in {unit}.")
 
 
 max_depth_option = click.option(
     "--max-depth",
     type=click.IntRange(min=1),
     default=DEFAULT_MAX_DEPTH,
-    envvar="INHCALC_MAX_DEPTH",
     show_default=True,
     help="Result-chain depth bound for convergence scans.",
 )

@@ -64,14 +64,20 @@ class Verdict(NamedTuple):
     convergence: ConvergenceReport
     direct: ConvergenceReport
     single_path_violations: int
+    max_depth: int = DEFAULT_MAX_DEPTH  # the depth bound of the scans
 
     @property
     def contradiction(self) -> bool:
-        if self.oracle.status == "hnf" and self.convergence.reason == "Cycle":
-            return True
-        if self.oracle.status == "diverged" and self.convergence.converged:
-            return True
-        return False
+        """The lazy bridge converges on the terms with a weak head normal
+        form (WHNF), by the oracle's WHNF step count at the latest.  A scan
+        out of fuel decides nothing, so it contradicts nothing."""
+        oracle, conv = self.oracle, self.convergence
+        if conv.converged:  # against a divergence proven before any WHNF
+            return oracle.status == "diverged" and oracle.whnf is None
+        if conv.reason == "Cycle":  # against a WHNF, or a head normal form
+            return oracle.whnf is not None or oracle.status == "hnf"
+        weak = oracle.whnf  # past the depth bound, against a WHNF within it
+        return conv.reason == "DepthExceeded" and weak is not None and weak <= self.max_depth
 
     @property
     def decided_both(self) -> bool:
@@ -114,7 +120,9 @@ def judge(
     ctx = EvalContext(prog, fuel=fuel)
     conv = converges(prog, max_depth=max_depth, ctx=ctx)
     direct = converges_direct(prog, fuel=fuel, max_depth=max_depth)
-    return Verdict(name, anf_term, oracle, conv, direct, len(ctx.single_path_violations))
+    return Verdict(
+        name, anf_term, oracle, conv, direct, len(ctx.single_path_violations), max_depth
+    )
 
 
 def sweep(

@@ -9,7 +9,8 @@ Contains four independent pieces:
   abstraction shape);
 * a head-reduction / Böhm-prefix oracle on de Bruijn terms that shares no
   code with the record semantics: one iterative Krivine machine that goes
-  under binders and proves divergence by a repeated state.
+  under binders, counts the steps to the weak head normal form it passes
+  first, and proves divergence by a repeated state.
 
 Each check on a term is made once, where the term is read:
 ``parse_lambda`` finds a parse error, free variables and synthetic
@@ -607,6 +608,7 @@ def oracle_to_named(t: OTerm, depth: int = 0) -> Term:
 class HeadResult(NamedTuple):
     status: str  # "hnf" | "diverged" | "fuel"
     steps: int
+    whnf: int | None = None  # beta-steps to a weak head normal form, if reached
 
     @property
     def decided(self) -> bool:
@@ -630,15 +632,18 @@ def _machine(term: OTerm, env, binders: int, fuel: int):
     Environments and the argument stack are (head, tail) cons cells ending
     in None.  An environment entry is a (term, env) closure or a level: a
     binder gone under, numbered from ``binders`` on, or a free variable
-    when below 0.  Returns (status, beta-steps, hnf), where hnf is (head
-    index, level count, argument stack).  Cells are interned by the ids of
-    their parts in a table that keeps every part alive, so a state is three
-    ids.  The machine is deterministic and no step reads a level's value,
-    so a state that repeats after a beta-step proves divergence.
+    when below 0.  Returns (status, beta-steps, whnf, hnf), where whnf is
+    the beta-step count when the machine first goes under a binder (for a
+    closed term, the steps to its weak head normal form), or None, and hnf
+    is (head index, level count, argument stack).  Cells are interned by
+    the ids of their parts in a table that keeps every part alive, so a
+    state is three ids.  The machine is deterministic and no step reads a
+    level's value, so a state that repeats after a beta-step proves
+    divergence.
     """
     intern = {}.setdefault  # a cell is intern((id(head), id(tail)), (head, tail))
     stack = None
-    steps = 0
+    steps, whnf = 0, None
     seen = set()
     while True:
         tag = term[0]
@@ -655,28 +660,30 @@ def _machine(term: OTerm, env, binders: int, fuel: int):
         elif tag == "var":
             entry = _lookup(env, term[1])
             if isinstance(entry, int):
-                return "hnf", steps, (binders - 1 - entry, binders, stack)
+                return "hnf", steps, whnf, (binders - 1 - entry, binders, stack)
             term, env = entry
         elif stack is None:  # no argument waits: go under the binder
+            if whnf is None:
+                whnf = steps
             env = intern((id(binders), id(env)), (binders, env))
             binders, term = binders + 1, term[1]
         elif steps == fuel:
-            return "fuel", steps, None
+            return "fuel", steps, whnf, None
         else:  # a beta-step binds the waiting argument
             steps += 1
             entry, stack = stack
             env, term = intern((id(entry), id(env)), (entry, env)), term[1]
             state = (id(term), id(env), id(stack))
             if state in seen:
-                return "diverged", steps, None
+                return "diverged", steps, whnf, None
             seen.add(state)
 
 
 def head_reduce(t: OTerm, fuel: int = ORACLE_FUEL) -> HeadResult:
     """Head-reduce t for at most ``fuel`` beta-steps.  Status "diverged"
     means a repeated machine state proved that t has no head normal form."""
-    status, steps, _ = _machine(t, None, 0, fuel)
-    return HeadResult(status, steps)
+    status, steps, whnf, _ = _machine(t, None, 0, fuel)
+    return HeadResult(status, steps, whnf)
 
 
 # Boehm prefix nodes
@@ -710,7 +717,7 @@ def bohm_prefix(t: OTerm, depth: int = 2, fuel: int = ORACLE_FUEL) -> BohmNode:
         if isinstance(entry, int):
             node = HnfNode(0, binders - 1 - entry, ())
         else:
-            status, _, hnf = _machine(*entry, binders, fuel)
+            status, _, _, hnf = _machine(*entry, binders, fuel)
             if status == "hnf":
                 head, levels, args = hnf
                 stack.append([binders, head, levels, args, [], depth])

@@ -387,13 +387,15 @@ class EvalContext(InternedContext):
 
     def observe(self, p: Path, depth: int, record_divergence: bool = False) -> "ObservationTree":
         """The tree of ``properties`` below ``p``, ``depth`` levels deep.  A
-        divergent node raises, or with ``record_divergence`` is recorded in
-        the tree.  Runs with automatic cyclic collection off, and on the way
-        out enables only a collector that it disabled.  One loop walks a
-        stack of (path, depth left, parent's children, label), pushing
-        children in reverse label order: it asks in preorder and spends no
-        frame per level.  Each node goes through the public ``properties``,
-        so a wrapper around it sees every node and every divergence."""
+        node whose query diverges or underflows its scopes raises, or with
+        ``record_divergence`` is recorded in the tree, by the divergence's
+        kind or as ``ScopeUnderflow``.  Runs with automatic cyclic
+        collection off, and on the way out enables only a collector that it
+        disabled.  One loop walks a stack of (path, depth left, parent's
+        children, label), pushing children in reverse label order: it asks
+        in preorder and spends no frame per level.  Each node goes through
+        the public ``properties``, so a wrapper around it sees every node and
+        every divergence."""
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -403,10 +405,11 @@ class EvalContext(InternedContext):
                 p, left, siblings, label = stack.pop()
                 try:
                     labels = tuple(sorted(self.properties(p)))
-                except DivergenceError as exc:
+                except (DivergenceError, ScopeUnderflowError) as exc:
                     if not record_divergence:
                         raise
-                    siblings[label] = ObservationTree(p, (), {}, exc.kind)
+                    stop = exc.kind if isinstance(exc, DivergenceError) else "ScopeUnderflow"
+                    siblings[label] = ObservationTree(p, (), {}, stop)
                     continue
                 children: dict = {}
                 siblings[label] = ObservationTree(p, labels, children, None)
@@ -428,7 +431,7 @@ class ObservationTree(NamedTuple):
     path: Path
     labels: tuple[str, ...]
     children: dict[str, ObservationTree]
-    divergence: str | None
+    divergence: str | None  # Cycle | FuelExhausted | ScopeUnderflow, or None
 
     def _preorder(self):
         """(node, depth below this one, its label or None here) for each

@@ -38,13 +38,8 @@ def budget(seconds: float):
 
 
 @functools.lru_cache(maxsize=None)
-def _nat_context() -> EvalContext:
-    return EvalContext(fixture("nat").program())
-
-
-@functools.lru_cache(maxsize=None)
 def _sweep():
-    return sweep(fuel=10_000)
+    return sweep(max_size=10)
 
 
 ZERO = parse_path("NatData.NatFactory.Zero")

@@ -381,17 +381,16 @@ def test_corpus_exits_1_on_any_failed_check(runner, monkeypatch, failed):
 
 
 # ---------------------------------------------------------------------------
-# environment overrides and determinism
+# budgets and determinism
 # ---------------------------------------------------------------------------
 
 def test_fuel_env_override_forces_divergence(runner, program_file):
-    ok = runner.invoke(main, ["query", program_file, "--path", "B"])
-    assert ok.exit_code == 0
-    starved = runner.invoke(
-        main,
-        ["query", program_file, "--path", "B"],
-        env={"INHCALC_FUEL": "1"},
+    # The environment sets no budget; only the flag does.
+    ok = runner.invoke(
+        main, ["query", program_file, "--path", "B"], env={"INHCALC_FUEL": "1"}
     )
+    assert ok.exit_code == 0
+    starved = runner.invoke(main, ["query", program_file, "--path", "B", "--fuel", "1"])
     assert starved.exit_code == 1
     assert "divergence(FuelExhausted)" in starved.output
 

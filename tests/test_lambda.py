@@ -28,6 +28,7 @@ from inhcalc.lam import (
     App,
     Bottom,
     ConvergenceReport,
+    DEFAULT_MAX_DEPTH,
     FreeVariableError,
     HeadResult,
     HnfNode,
@@ -459,7 +460,7 @@ def test_anf_rejects_synthetic_name_collisions():
 def test_anf_of_a_let_inside_an_application(text, anf_text, steps):
     anf = anf_transform(parse_lambda(text))
     assert term_text(anf) == anf_text
-    assert head_reduce(named_to_oracle(anf)) == HeadResult("hnf", steps)
+    assert head_reduce(named_to_oracle(anf)) == HeadResult("hnf", steps, 0)
     assert converges(translate(anf)) == converges_direct(translate(anf)) == (True, 0, None)
 
 
@@ -630,6 +631,28 @@ def test_verdict_contradiction():
             assert verdict.contradiction == expected, (status, report)
 
 
+def test_verdict_contradiction_is_two_sided():
+    """With the weak head normal form the oracle passed, the scan also
+    contradicts it by running past its depth bound with the weak head
+    normal form within it, and a convergence contradicts only a
+    divergence proven before any weak head normal form."""
+    def verdict(oracle, report, max_depth=DEFAULT_MAX_DEPTH):
+        v = Verdict("t", NAMED_TERMS["I"], oracle, report, report, 0, max_depth)
+        return v.contradiction
+
+    depth_exceeded = ConvergenceReport(False, None, "DepthExceeded")
+    assert verdict(HeadResult("fuel", 10_000, 2), depth_exceeded)
+    assert verdict(HeadResult("diverged", 7, 2), depth_exceeded)
+    assert verdict(HeadResult("hnf", 2, 2), depth_exceeded, max_depth=2)
+    assert not verdict(HeadResult("hnf", 3, 3), depth_exceeded, max_depth=2)
+    assert not verdict(HeadResult("diverged", 3), depth_exceeded)
+    assert verdict(HeadResult("diverged", 9, 2), ConvergenceReport(False, None, "Cycle"))
+    assert not verdict(HeadResult("hnf", 2, 2), ConvergenceReport(False, None, "FuelExhausted"))
+    assert not verdict(HeadResult("diverged", 5, 1), ConvergenceReport(True, 1))
+    assert verdict(HeadResult("diverged", 5), ConvergenceReport(True, 1))
+    assert not verdict(HeadResult("hnf", 2, 2), ConvergenceReport(True, 2))
+
+
 def test_converges_church_arithmetic():
     # (\n. \f. \x. f (n f x)) church2 is a value after one step
     succ = r"(\n. \f. \x. f (n f x)) (\f. \x. f (f x))"
@@ -782,6 +805,21 @@ def test_corpus_terms_with_a_whnf_but_no_hnf(index, steps):
     assert v.convergence == v.direct == ConvergenceReport(True, steps)
     assert v.oracle.status == "diverged"
     assert head_reduce(named_to_oracle(anf)).status == "diverged"
+
+
+def test_the_head_machine_counts_the_weak_steps_of_the_corpus():
+    # The head machine first goes under a binder where the weak-head
+    # machine stops.  Only omega and t2553 pass no weak head normal form:
+    # the head machine proves them divergent, and the weak-head machine
+    # runs out of its 1,000 steps.
+    none = []
+    for name, anf in corpus_terms(10):
+        t = named_to_oracle(anf)
+        whnf = head_reduce(t, 1_000).whnf
+        assert whnf == _whnf_steps(t), name
+        if whnf is None:
+            none.append(name)
+    assert none == ["t2553", "omega"]
 
 
 @pytest.mark.parametrize("k", [1_000, 10_000])

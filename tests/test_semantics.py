@@ -395,6 +395,18 @@ def test_observe_records_divergence():
     assert "a\t!Cycle" in tree.text()
 
 
+def test_observe_records_a_scope_underflow_at_its_node():
+    # ^3 in b climbs past the root; the root and a still answer.
+    prog = parse_program("{a = {}, b = {^3}}")
+    tree = EvalContext(prog).observe((), 2, record_divergence=True)
+    assert tree.text() == "()\ta,b\na\t\nb\t!ScopeUnderflow"
+    with pytest.raises(ScopeUnderflowError):
+        EvalContext(prog).observe((), 2)
+    for record_divergence in (False, True):
+        new, old = _both_observations(prog, (), 2, record_divergence, DEFAULT_FUEL)
+        assert new == old
+
+
 def test_observe_structure_tells_apart_one_label_or_one_divergence():
     # A.x and C.x differ in one label below them; b and c in one
     # divergence, Cycle against no labels
@@ -432,6 +444,10 @@ def _reference_observe(ctx, p, depth, record_divergence):
         if not record_divergence:
             raise
         return ObservationTree(p, (), {}, exc.kind)
+    except ScopeUnderflowError:
+        if not record_divergence:
+            raise
+        return ObservationTree(p, (), {}, "ScopeUnderflow")
     children = {}
     if depth > 0:
         for label in labels:

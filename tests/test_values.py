@@ -37,7 +37,7 @@ _VALUES = [
     ),
     (ConvergenceReport(True, 0), "ConvergenceReport(converged=True, depth=0, reason=None)"),
     (ConvergenceReport(False, reason="Cycle"), "ConvergenceReport(converged=False, depth=None, reason='Cycle')"),
-    (HeadResult("hnf", 3), "HeadResult(status='hnf', steps=3)"),
+    (HeadResult("hnf", 3, 1), "HeadResult(status='hnf', steps=3, whnf=1)"),
     (Bottom(True), "Bottom(proven=True)"),
     (HnfNode(1, 0, ()), "HnfNode(binders=1, head=0, children=())"),
     (Reference(0, ("a",)), "Reference(n=0, downs=('a',))"),
@@ -46,14 +46,14 @@ _VALUES = [
     (LexicalRef(("a", "b")), "LexicalRef(downs=('a', 'b'))"),
     (
         Verdict(
-            "I", Abs("x", Var("x")), HeadResult("hnf", 0),
+            "I", Abs("x", Var("x")), HeadResult("hnf", 0, 0),
             ConvergenceReport(True, 0), ConvergenceReport(True, 0), 0,
         ),
         "Verdict(name='I', term=Abs(param='x', body=Var(name='x')),"
-        " oracle=HeadResult(status='hnf', steps=0),"
+        " oracle=HeadResult(status='hnf', steps=0, whnf=0),"
         " convergence=ConvergenceReport(converged=True, depth=0, reason=None),"
         " direct=ConvergenceReport(converged=True, depth=0, reason=None),"
-        " single_path_violations=0)",
+        " single_path_violations=0, max_depth=64)",
     ),
     # one frontier path, so the frozenset's repr does not follow the hash seed
     (
