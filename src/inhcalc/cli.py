@@ -242,8 +242,8 @@ def fixtures_run(name, fuel):
 def corpus(size, fuel, max_depth):
     """Sweep the small-term corpus against the oracle; print verdicts.
     Exit 1 if any check of the summary fails: a contradiction, a split
-    between the engines, a depth past the oracle's steps, or a multi-path
-    scope step."""
+    between the engines, a depth past the oracle's steps to a weak head
+    normal form, or a multi-path scope step."""
     verdicts = corpus_mod.sweep(max_size=size, fuel=fuel, max_depth=max_depth)
     for v in verdicts:
         click.echo(v.row())

@@ -134,10 +134,10 @@ def sweep(
 def summarize(verdicts: list[Verdict]) -> dict:
     contradictions = [v for v in verdicts if v.contradiction]
     decided = [v for v in verdicts if v.decided_both]
-    depth_ok = all(
-        v.convergence.depth <= v.oracle.steps
+    depth_ok = all(  # the lazy bridge converges by the oracle's WHNF step count
+        v.convergence.depth <= v.oracle.whnf
         for v in verdicts
-        if v.convergence.converged and v.oracle.status == "hnf"
+        if v.convergence.converged and v.oracle.whnf is not None
     )
     direct_agrees = all(
         (v.direct.converged, v.direct.depth) == (v.convergence.converged, v.convergence.depth)

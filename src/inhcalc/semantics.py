@@ -6,13 +6,14 @@ closure of ``bases``) over a CoreProgram by unfolding the mutually
 recursive equations on demand.  The equations run on integer path ids:
 a context adopts the program's (parent, label) trie and interns each
 further path it meets once, and its public methods take and return
-paths.  Each run of an equation's body spends one unit of a global fuel
-budget, which bounds infinite acyclic unfoldings with
-``Divergence(FuelExhausted)``.  The equations whose answers are read
-again (``supers``, ``overrides``, ``bases`` and ``this``) are memoized
-per query key, and a key that re-enters its own in-flight evaluation
-reports ``Divergence(Cycle)``; ``properties``, ``bases*`` and
-``resolve`` keep no table (see ``equation``).  The equations recurse on
+paths.  All but ``resolve`` and ``this`` run under one kernel,
+``equation``, one id per query; ``bases`` walks a reference's ``this``
+steps in a loop that reads ``supers``.  Each kernel body run spends one
+unit of a global fuel budget, which bounds infinite acyclic unfoldings
+with ``Divergence(FuelExhausted)``.  ``supers``, ``overrides`` and
+``bases`` are memoized per id, and an id that re-enters its own
+in-flight evaluation reports ``Divergence(Cycle)``; ``properties`` and
+``bases*`` keep no table (see ``equation``).  The equations recurse on
 the Python stack; ``EvalContext.observe`` and the printers of its tree
 walk the observation tree on explicit stacks.
 
@@ -88,35 +89,37 @@ def equation(tag: str, table: bool = True):
     """Make a method one equation of a demand-driven evaluator, memoized
     unless ``table`` is false.
 
-    Every equation takes one hashable key per query: its only argument, or
-    the tuple of its arguments, which the body unpacks.  The instance keeps
-    ``fuel`` and ``memo``, a ``defaultdict(dict)`` that holds one table per
-    memoized equation, keyed by that key, and a query probes its table
-    once.  Each run of an equation's body spends one unit of fuel, and a
-    run with no fuel left raises ``Divergence(FuelExhausted)`` before it
-    starts; a memo hit runs no body.  While a memoized body runs, its entry
-    holds ``None``, so re-entering the same query raises
+    Every equation takes one id per query, its only argument.  The
+    instance keeps ``fuel`` and ``memo``, a ``defaultdict(dict)`` that
+    holds one table per memoized equation, keyed by id, and a query probes
+    its table once.  Each run of an equation's body spends one unit of
+    fuel, and a run with no fuel left raises ``Divergence(FuelExhausted)``
+    before it starts; a memo hit runs no body.  While a memoized body runs,
+    its entry holds ``None``, so re-entering the same query raises
     ``Divergence(Cycle)``, even with no fuel left; results are never
     ``None``.  A body that raises leaves no entry, so a re-query reaches
     the same verdict.  A divergence's witness is what the instance's
-    ``_witness(tag, key)`` makes of the query; the kernel calls it only to
+    ``_witness(tag, id)`` makes of the query; the kernel calls it only to
     raise.
 
+    A reference's walk of its ``n`` scope steps, in ``bases`` and in the
+    direct engine's ``callee``, runs in a loop outside the kernel and
+    spends no fuel of its own; ``n`` is written in the program text and
+    each miss the walk asks spends fuel, so fuel still bounds all work up
+    to a constant of the program.
+
     An equation keeps a table only where an answer is read again or a
-    cycle can pass through it.  ``properties`` and the direct engine's
-    ``labels`` are asked only by public callers, never by an equation, so
-    no cycle passes through them.  ``bases*(p)`` is asked only by
-    ``supers(p)``, and ``resolve(k)`` only by ``bases(p)``, where p is the
-    child of ``k[0]`` that carries the label of the override ``k[1]``,
-    each key at most once per run of its caller.  So under a query of
-    that caller, a re-entry of such a key first re-enters the memoized
-    caller, which is still in flight and raises the same ``Cycle`` at the
-    same key.  These four keep no table, and three things differ from a
-    table: a second public query of the same key runs the body again and
-    spends one more unit; a public ``bases*`` or ``resolve`` query, with
-    no caller in flight, reports a cycle at the first memoized key it
-    re-enters; and after an error escapes a caller, asking the caller
-    again runs its table-less callee again.
+    cycle can pass through it: in the general engine ``supers``,
+    ``overrides`` and ``bases``.  ``properties`` and the direct engine's
+    ``labels`` are asked only by public callers, so no cycle passes through
+    them.  ``bases*(p)`` is asked only by ``supers(p)``, once per run, so
+    under a ``supers`` query a re-entry of ``bases*(p)`` first re-enters
+    the in-flight ``supers(p)``, which raises the same ``Cycle`` at the
+    same id.  These three keep no table, and three things differ from a
+    table: a second public query of the same id runs the body again and
+    spends one more unit; a public ``bases*`` query reports a cycle at the
+    first memoized id it re-enters; and after an error escapes ``supers``,
+    asking it again runs ``bases*`` again.
 
     A call site whose query is almost always answered already reads the
     table first, ``self.memo[tag].get(key) or self._eq(key)``, so a
@@ -238,31 +241,28 @@ class InternedContext:
             return frozenset(map(self._paths, ids))
         return trie_path(self, ids)
 
-    def _witness(self, tag: str, key) -> tuple:
-        """The path-valued witness of a divergent query on ids.  A key is
-        an id, or a tuple that leads with two ids (or an id set and an id)."""
-        if isinstance(key, tuple):
-            return (tag, *map(self._paths, key[:2]), *key[2:])
+    def _witness(self, tag: str, key: int) -> tuple:
+        """The path-valued witness of a divergent query on the id ``key``."""
         return (tag, self._paths(key))
 
 
 class EvalContext(InternedContext):
     """Memoization tables, fuel and interned paths for one program: the
     six equations, run on path ids.  The equations write nothing but the
-    memo and the trie; what an evaluation found out is read off the memo,
-    as ``single_path_violations`` is."""
+    memo, the trie and ``_violations``, which the scope walks fill."""
+
+    def __init__(self, program: CoreProgram, fuel: int = DEFAULT_FUEL):
+        super().__init__(program, fuel)
+        self._violations: dict = {}  # (S, p_def, n) on ids, as an ordered set
 
     @property
     def single_path_violations(self) -> list[SinglePathViolation]:
-        """The completed ``this`` steps whose frontier is not one path, in
-        the order of their memo keys: the order their bodies began."""
-        table = self.memo.get("this")
-        if not table:  # most evaluations make no ``this`` query
-            return []
+        """The ``this`` steps with ``n > 0`` from other than one site, of the
+        scope walks that completed, in the order they completed and each
+        walk's in step order; a step two walks took is listed once, first."""
         return [
             SinglePathViolation(self._paths(S), self._paths(p_def), n)
-            for (S, p_def, n), value in table.items()
-            if n and len(S) != 1 and value is not None
+            for S, p_def, n in self._violations
         ]
 
     # -- the equations, on path ids -----------------------------------------
@@ -305,46 +305,44 @@ class EvalContext(InternedContext):
     @equation("bases")
     def _bases(self, p: int) -> frozenset[int]:
         out = set()
+        site, parent = (self._parent[p],), self._parent
         for p_override in self._overrides(p):
             for n, downs in self._node[p_override][1]:
                 if p == 0:
-                    raise ScopeUnderflowError(
-                        "a reference at the root has no enclosing scope"
-                    )
-                out |= self._resolve((self._parent[p], p_override, n, downs))
+                    raise ScopeUnderflowError("a reference at the root has no enclosing scope")
+                out |= self._resolve(site, parent[p_override], n, downs)
         return frozenset(out)
 
-    @equation("resolve", table=False)
-    def _resolve(self, key: tuple) -> frozenset[int]:
-        p_site, p_def, n, downs = key
-        if p_def == 0:
-            raise ScopeUnderflowError(
-                "resolve requires a nonempty definition-site path"
-            )
-        kids = self._kids
-        step = (frozenset({p_site}), self._parent[p_def], n)
+    def _resolve(self, S, p_def: int, n: int, downs: tuple) -> set[int]:
+        """``resolve`` and ``this``, not run by the kernel: the set of sites
+        ``n`` scope steps up from the ids ``S`` for the definition scope
+        ``p_def``, each extended by ``downs``.  A step's frontier is the
+        ``p_site`` of each super pair of a site in ``S`` whose overrides
+        hold ``p_def``; it costs no frame, table entry or fuel.  A walk
+        that completes adds to ``_violations`` its steps from other than
+        one site."""
+        parent, kids, done = self._parent, self._kids, self.memo["supers"]
+        steps = []
+        for left in range(n, 0, -1):
+            if p_def == 0:
+                raise ScopeUnderflowError(f"this step above the root (n={left} remaining)")
+            if len(S) != 1:
+                steps.append((frozenset(S), p_def, left))
+            frontier = set()
+            for current in S:
+                for p_site, overrides in done.get(current) or self._supers(current):
+                    if p_def in overrides:
+                        assert p_site is not ABOVE_ROOT, "AboveRoot matched a this step"
+                        frontier.add(p_site)
+            S, p_def = frontier, parent[p_def]
+        if steps:
+            self._violations.update(dict.fromkeys(steps))
         out = set()
-        for current in self._this(step):
+        for current in S:
             for label in downs:
                 current = kids[current].get(label) or self._add_child(current, label)
             out.add(current)
-        return frozenset(out)
-
-    @equation("this")
-    def _this(self, key: tuple) -> frozenset[int]:
-        S, p_def, n = key
-        if n == 0:
-            return S
-        if p_def == 0:
-            raise ScopeUnderflowError(f"this step above the root (n={n} remaining)")
-        done = self.memo["supers"]
-        frontier = set()
-        for current in S:
-            for p_site, overrides in done.get(current) or self._supers(current):
-                if p_def in overrides:
-                    assert p_site is not ABOVE_ROOT, "AboveRoot matched a this step"
-                    frontier.add(p_site)
-        return self._this((frozenset(frontier), self._parent[p_def], n - 1))
+        return out
 
     # -- the equations, on paths ----------------------------------------------
 
@@ -372,11 +370,13 @@ class EvalContext(InternedContext):
         self, p_site: Path, p_def: Path, n: int, downs: tuple[str, ...]
     ) -> frozenset[Path]:
         site, p_def = self._intern(p_site), self._intern(p_def)
-        return self._paths(self._resolve((site, p_def, n, downs)))
+        if p_def == 0:
+            raise ScopeUnderflowError("resolve requires a nonempty definition-site path")
+        return self._paths(frozenset(self._resolve((site,), self._parent[p_def], n, downs)))
 
     def this(self, S: frozenset[Path], p_def: Path, n: int) -> frozenset[Path]:
         S, p_def = frozenset(map(self._intern, S)), self._intern(p_def)
-        return self._paths(self._this((S, p_def, n)))
+        return self._paths(frozenset(self._resolve(S, p_def, n, ())))
 
     # -- observation helpers -------------------------------------------------
 

@@ -47,7 +47,7 @@ DIRECT_CORPUS_8_FUEL_SHA256 = (
 )
 # the same, scanned by the general engine's properties
 GENERAL_CORPUS_8_FUEL_SHA256 = (
-    "73581ef250992955c6773e95aa4e28b9f17ceba4d2d2a55f1b4ec211bf8964d2"
+    "727ea1623643614e3ee8d391c1e48686ed4148b618487e8a140a475cea080649"
 )
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def identity_chain(k: int) -> str:
 # where each engine's misses stand at the budget, so an added or dropped
 # miss moves the digest; on these terms few reorderings show in it.
 SCAN_MISS_ORDER_SHA256 = (
-    "5cde83dfc225baf50360aaa778ab78992e052074454217def74760d391f3d06a"
+    "b7e19ff025c856501104e8cdbf20afafd5e68655275d96500870e90e2f153585"
 )
 
 
@@ -232,7 +232,7 @@ def test_scan_miss_order_is_pinned():
 
 # The equations that keep no memo table, per engine.
 _TABLELESS = {
-    EvalContext: ("_properties", "_bases_star", "_resolve"),
+    EvalContext: ("_properties", "_bases_star"),
     DirectContext: ("_labels",),
 }
 
@@ -280,7 +280,7 @@ def test_no_key_of_a_tableless_equation_is_asked_twice():
     for ctx in contexts:
         assert max(ctx.asked.values()) == 1
         seen.update(name for name, _ in ctx.asked)
-    assert seen == {"_properties", "_bases_star", "_resolve", "_labels"}
+    assert seen == {"_properties", "_bases_star", "_labels"}
 
 
 def test_a_second_labels_query_spends_one_more_unit():
@@ -310,7 +310,21 @@ def test_scans_of_a_120_redex_chain_intern_no_new_id():
     assert converges(prog, ctx=general, max_depth=k + 1).depth == k
     assert _scan_result_chain(direct, direct._labels, k + 1).depth == k
     assert len(prog._node) == len(general._node) == len(direct._node) == 483
-    assert (DEFAULT_FUEL - general.fuel, DEFAULT_FUEL - direct.fuel) == (2283, 1324)
+    assert (DEFAULT_FUEL - general.fuel, DEFAULT_FUEL - direct.fuel) == (1565, 1324)
+
+
+def test_a_300_redex_chain_keeps_ten_memo_entries_a_level_in_each_engine():
+    # The general engine walks its scope steps in a loop outside the
+    # kernel, so its memo holds only supers, overrides and bases, as many
+    # entries as the direct engine's callee*, callee and grafts.
+    k = 300
+    prog = translate(anf_transform(parse_lambda(identity_chain(k))))
+    general, direct = EvalContext(prog), DirectContext(prog)
+    assert _scan_result_chain(general, general._properties, k + 1).depth == k
+    assert _scan_result_chain(direct, direct._labels, k + 1).depth == k
+    sizes = {tag: len(table) for tag, table in general.memo.items()}
+    assert sizes == {"supers": 601, "overrides": 1201, "bases": 1201}
+    assert sum(sizes.values()) == sum(map(len, direct.memo.values())) == 3003
 
 
 def test_each_scan_interns_one_path(monkeypatch):

@@ -21,7 +21,14 @@ from conftest import (
     zigzag,
 )
 from inhcalc.anf_direct import converges_direct
-from inhcalc.corpus import Verdict, _terms, corpus_terms, enumerate_closed_terms, judge
+from inhcalc.corpus import (
+    Verdict,
+    _terms,
+    corpus_terms,
+    enumerate_closed_terms,
+    judge,
+    summarize,
+)
 from inhcalc.fixtures import fixture
 from inhcalc.lam import (
     Abs,
@@ -35,6 +42,7 @@ from inhcalc.lam import (
     LambdaParseError,
     Let,
     NAMED_TERMS,
+    ORACLE_FUEL,
     SYNTHETIC_LABELS,
     SyntheticNameCollision,
     UNEXPANDED,
@@ -653,6 +661,22 @@ def test_verdict_contradiction_is_two_sided():
     assert not verdict(HeadResult("hnf", 2, 2), ConvergenceReport(True, 2))
 
 
+def test_convergence_depth_is_bounded_by_the_weak_head_steps():
+    # The bound is the oracle's WHNF step count, on every converged verdict
+    # with a WHNF: a term with a WHNF at step 2 but no head normal form that
+    # converged at depth 3 breaks it, though no head step count bounds it.
+    def bounded(oracle, depth):
+        report = ConvergenceReport(True, depth)
+        v = Verdict("t", NAMED_TERMS["I"], oracle, report, report, 0)
+        return summarize([v])["depth_bounded_by_steps"]
+
+    assert not bounded(HeadResult("diverged", 9, 2), 3)
+    assert not bounded(HeadResult("fuel", 10_000, 2), 3)
+    assert not bounded(HeadResult("hnf", 5, 2), 3)
+    assert bounded(HeadResult("diverged", 9, 2), 2)
+    assert bounded(HeadResult("diverged", 9), 3)
+
+
 def test_converges_church_arithmetic():
     # (\n. \f. \x. f (n f x)) church2 is a value after one step
     succ = r"(\n. \f. \x. f (n f x)) (\f. \x. f (f x))"
@@ -769,22 +793,29 @@ def test_head_reduce_proves_corpus_t9899_divergent():
     assert bohm_text(bohm_prefix(t)) == "bottom"
 
 
-def _whnf_steps(t, fuel=1_000):
+def _whnf_steps(t, fuel=ORACLE_FUEL):
     """The β-steps a call-by-name Krivine machine takes to a weak head
     normal form of the closed oracle term t, or None past ``fuel``: it
     stops at an abstraction with no argument waiting and never goes under
     a binder.  An ANF let is a β-redex in its oracle form, so it counts as
-    a step.  Environments and the stack are (head, tail) cons cells."""
+    a step.  Environments and the stack are (head, tail) cons cells, and a
+    variable argument pushes the closure its environment holds, as the
+    head machine does, so no step walks a chain of closures."""
+
+    def lookup(env, n):
+        for _ in range(n):
+            env = env[1]
+        return env[0]
+
     env, stack, steps = None, None, 0
     while True:
         if t[0] == "app":
-            stack = ((t[2], env), stack)
+            arg = t[2]
+            entry = lookup(env, arg[1]) if arg[0] == "var" else (arg, env)
+            stack = (entry, stack)
             t = t[1]
         elif t[0] == "var":
-            cell = env
-            for _ in range(t[1]):
-                cell = cell[1]
-            t, env = cell[0]
+            t, env = lookup(env, t[1])
         elif stack is None:
             return steps
         elif steps == fuel:
@@ -811,11 +842,11 @@ def test_the_head_machine_counts_the_weak_steps_of_the_corpus():
     # The head machine first goes under a binder where the weak-head
     # machine stops.  Only omega and t2553 pass no weak head normal form:
     # the head machine proves them divergent, and the weak-head machine
-    # runs out of its 1,000 steps.
+    # runs out of its ORACLE_FUEL steps.
     none = []
     for name, anf in corpus_terms(10):
         t = named_to_oracle(anf)
-        whnf = head_reduce(t, 1_000).whnf
+        whnf = head_reduce(t).whnf
         assert whnf == _whnf_steps(t), name
         if whnf is None:
             none.append(name)
